@@ -46,8 +46,8 @@ from .identities import (
     coinvariant_Q,
     commutator_identity,
     distinguish,
+    matrix_identity_witness,
     mu,
-    verify_matrix_identity,
 )
 from .ncalg import check_confluence
 
@@ -142,6 +142,21 @@ def _named_identity(name, A):
     return None
 
 
+def _matrix_witness(m, assignment, value) -> str:
+    """Render s_m at matrix units, e[i,j] counting from 1, and its value."""
+
+    def unit(ij):
+        return f"e[{ij[0] + 1},{ij[1] + 1}]"
+
+    rhs = ""
+    for ij, c in value.items():
+        body = unit(ij) if abs(c) == 1 else f"{abs(c)}*{unit(ij)}"
+        sign = "-" if c < 0 else ""
+        rhs = f"{rhs} {sign or '+'} {body}" if rhs else f"{sign}{body}"
+    args = ", ".join(unit(ij) for ij in assignment)
+    return f"s_{m}({args}) = {rhs}"
+
+
 def _cmd_verify(args, timings):
     name = args.identity.strip()
     if name.startswith("standard:"):
@@ -153,8 +168,9 @@ def _cmd_verify(args, timings):
             )
         m = int(name[len("standard:"):])
         start = time.perf_counter()
-        holds = verify_matrix_identity(m, spec.k)
+        found = matrix_identity_witness(m, spec.k)
         timings["verify"] = time.perf_counter() - start
+        holds = found is None
         result = {
             "object": spec.render(),
             "identity": name,
@@ -163,7 +179,11 @@ def _cmd_verify(args, timings):
         if holds:
             lines = [f"{name}: identity verified on {spec.k}x{spec.k} matrices"]
         else:
-            lines = [f"{name}: not an identity on {spec.k}x{spec.k} matrices"]
+            result["witness"] = _matrix_witness(m, *found)
+            lines = [
+                f"{name}: not an identity on {spec.k}x{spec.k} matrices",
+                f"witness: {result['witness']}",
+            ]
         return result, lines, 0 if holds else 1
     spec = _galois_spec(args.object)
     A = galois_object(spec)

@@ -5,9 +5,9 @@ parameters, each either an exact cyclotomic number or symbolic (optionally
 primed, so two symbolic objects can coexist in one computation).  The Taft
 family object has relations x^n = a, yx = q xy, y^n = c; the E(n) family
 object has u^2 = a, ui^2 = ci, ui u = -u ui, ui uj + uj ui = dij.  The
-coaction is declared on generators by the same formulas as the coproduct and
-extends multiplicatively; the section u maps the Hopf basis word-for-word onto
-the object's normal words.
+coaction is an ncalg Morphism declared on generators by the same formulas as
+the coproduct; the section u maps the Hopf basis word-for-word onto the
+object's normal words.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from functools import lru_cache
 
 from .commpoly import CommPoly, ParamVar
 from .cyclotomic import CyclotomicNumber
-from .hopf import HopfPresentation, en, taft
+from .hopf import HopfPresentation, check_coaction_laws, en, taft
 from .linalg import kernel_basis, rank
-from .ncalg import AlgElement, PresentedAlgebra, RewriteRule, tensor_product
+from .ncalg import AlgElement, Morphism, PresentedAlgebra, RewriteRule, tensor_product
 
 __all__ = [
     "Symbolic",
@@ -183,40 +183,21 @@ class ComoduleAlgebra:
         alg.comodule_hopf = H
         self.tensor = tensor_product(alg, H.algebra)
         ng = len(alg.generators)
-        co = []
-        if spec.family == "taft":
-            # same formulas as the coproduct: x -> x(x)x, y -> 1(x)y + y(x)x
-            co.append(AlgElement(self.tensor, {(0, ng + 0): CommPoly.one(order)}))
-            co.append(
-                AlgElement(
-                    self.tensor,
-                    {
-                        (ng + 1,): CommPoly.one(order),
-                        (1, ng + 0): CommPoly.one(order),
-                    },
-                )
-            )
-        else:
-            co.append(AlgElement(self.tensor, {(0, ng + 0): CommPoly.one(order)}))
-            for i in range(1, n + 1):
-                co.append(
-                    AlgElement(
-                        self.tensor,
-                        {
-                            (ng + i,): CommPoly.one(order),
-                            (i, ng + 0): CommPoly.one(order),
-                        },
-                    )
-                )
-        self.coaction_on_generators = tuple(co)
+        one = CommPoly.one(order)
+        # same formulas as the coproduct: x -> x(x)x, y -> 1(x)y + y(x)x,
+        # and each ui of the E(n) family as y
+        co = [AlgElement(self.tensor, {(0, ng): one})]
+        for i in range(1, ng):
+            co.append(AlgElement(self.tensor, {(ng + i,): one, (i, ng): one}))
+        self.coaction_map = Morphism(alg, self.tensor, tuple(co).__getitem__)
         # the section: Hopf basis words map one-for-one onto object words
         self.section = {}
         for w in H.basis():
             if not alg.is_normal(w):
                 raise ValueError(f"section image {w} is not normal in {self.name}")
             self.section[w] = w
-        self._coaction_cache = {(): self.tensor.one()}
-        self._mu_images = {}
+        # identities.mu keeps its map from the free algebra T(X_H) here
+        self.mu_map = None
 
     def param_poly(self, key) -> CommPoly:
         order = self.algebra.order
@@ -237,12 +218,7 @@ class ComoduleAlgebra:
         return AlgElement(self.algebra, {self.section[w]: c for w, c in h.terms.items()})
 
     def coaction_word(self, word) -> AlgElement:
-        word = tuple(word)
-        hit = self._coaction_cache.get(word)
-        if hit is None:
-            hit = self.coaction_word(word[:-1]) * self.coaction_on_generators[word[-1]]
-            self._coaction_cache[word] = hit
-        return hit
+        return self.coaction_map.word(word)
 
     def __repr__(self):
         return f"ComoduleAlgebra({self.name})"
@@ -255,12 +231,7 @@ def galois_object(spec: GaloisObjectSpec) -> ComoduleAlgebra:
 
 def coaction(A: ComoduleAlgebra, e: AlgElement) -> AlgElement:
     """The coaction delta: A -> A tensor H, extended multiplicatively."""
-    if e.algebra is not A.algebra:
-        raise ValueError("element does not belong to this comodule algebra")
-    out = A.tensor.zero()
-    for w, c in e.terms.items():
-        out = out + A.coaction_word(w) * c
-    return out
+    return A.coaction_map(e)
 
 
 def _require_numeric(A: ComoduleAlgebra, what: str):
@@ -289,14 +260,11 @@ def coinvariants(A: ComoduleAlgebra):
     columns = []
     row_index = {}
     for w in basis:
-        col = {}
-        for tw, c in A.coaction_word(w).terms.items():
-            col[tw] = col.get(tw, CyclotomicNumber.zero(order)) + _const(c)
+        col = {tw: _const(c) for tw, c in A.coaction_word(w).terms.items()}
         # subtract w tensor 1 (the object word embeds with unchanged indices)
         col[w] = col.get(w, CyclotomicNumber.zero(order)) - CyclotomicNumber.one(order)
         for tw in col:
-            if tw not in row_index:
-                row_index[tw] = len(row_index)
+            row_index.setdefault(tw, len(row_index))
         columns.append(col)
     zero = CyclotomicNumber.zero(order)
     rows = [[zero] * len(basis) for _ in range(len(row_index))]
@@ -331,11 +299,9 @@ def galois_map_bijective(A: ComoduleAlgebra) -> bool:
         left = AlgElement(A.tensor, {w1: CommPoly.one(order)})
         for w2 in basis:
             img = left * A.coaction_word(w2)
-            col = {}
-            for tw, c in img.terms.items():
-                col[tw] = _const(c)
-                if tw not in row_index:
-                    row_index[tw] = len(row_index)
+            col = {tw: _const(c) for tw, c in img.terms.items()}
+            for tw in col:
+                row_index.setdefault(tw, len(row_index))
             columns.append(col)
     if len(row_index) > dim * dim:
         raise RuntimeError("tensor basis larger than expected")
@@ -373,41 +339,18 @@ def check_comodule(A: ComoduleAlgebra) -> ComoduleReport:
     H = A.hopf
     alg = A.algebra
     ngA = len(alg.generators)
-    ngH = len(H.algebra.generators)
     failures = []
 
     for rule in alg.rules:
-        lhs = A.coaction_word(rule.lhs)
-        rhs = A.tensor.zero()
-        for w, c in rule.rhs:
-            rhs = rhs + A.coaction_word(w) * c
-        if lhs != rhs:
+        rhs = sum((A.coaction_word(w) * c for w, c in rule.rhs), A.tensor.zero())
+        if A.coaction_word(rule.lhs) != rhs:
             failures.append(
                 f"coaction incompatible with relation {alg.render_word(rule.lhs)}"
             )
 
-    triple = tensor_product(alg, H.algebra, H.algebra)
-    for b in alg.basis():
-        name = alg.render_word(b)
-        delta = A.coaction_word(b)
-        lhs_acc: dict = {}
-        rhs_acc: dict = {}
-        counit_acc = alg.zero()
-        for w, c in delta.terms.items():
-            wa, wh = A.tensor.split_word(w)
-            for w2, c2 in A.coaction_word(wa).terms.items():
-                key = w2 + tuple(g + ngA + ngH for g in wh)
-                cc = c * c2
-                lhs_acc[key] = lhs_acc.get(key, 0) + cc
-            for w2, c2 in H.coproduct_word(wh).terms.items():
-                key = wa + tuple(g + ngA for g in w2)
-                cc = c * c2
-                rhs_acc[key] = rhs_acc.get(key, 0) + cc
-            counit_acc = counit_acc + alg.element({wa: c * H.counit_word(wh)})
-        if AlgElement(triple, lhs_acc) != AlgElement(triple, rhs_acc):
-            failures.append(f"coaction coassociativity fails on {name}")
-        if counit_acc != alg.element({b: 1}):
-            failures.append(f"coaction counit law fails on {name}")
+    failures += check_coaction_laws(
+        H, A.tensor, A.coaction_word, "coaction coassociativity", "coaction counit law"
+    )
 
     for h in H.basis():
         name = H.algebra.render_word(h)

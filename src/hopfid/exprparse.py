@@ -8,7 +8,9 @@ Y and Yi, plus coefficient variables t[i,h] and the structure parameters.
 
 The literal q always means the primitive root of unity of the active context
 and z the standard generator zeta of its cyclotomic field.  Division and
-negative powers apply to invertible scalars only.
+negative powers apply to invertible scalars only.  The parser is recursive
+descent, so input nested deeper than MAX_NESTING levels is refused with a
+ParseError instead of exhausting the interpreter stack.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^()[],';")
+
+# parentheses, unary sign chains, parenthesised exponents and bracket
+# sub-expressions each open one level; a bracket costs about twice the
+# interpreter stack of a parenthesis
+MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -104,6 +111,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.ctx = ctx
+        self.depth = 0
 
     # -- token plumbing
 
@@ -131,6 +139,15 @@ class _Parser:
     def fail(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, tok[2], self.text)
+
+    def nested(self, parse, tok, levels=1):
+        """Run parse() one nesting level deeper, refusing input past the limit."""
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
+        val = parse()
+        self.depth -= levels
+        return val
 
     # -- value helpers
 
@@ -221,11 +238,11 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "-":
             self.next()
-            kind, v = self.unary()
+            kind, v = self.nested(self.unary, tok)
             return (kind, -v)
         if tok[0] == "+":
             self.next()
-            return self.unary()
+            return self.nested(self.unary, tok)
         return self.power()
 
     def power(self):
@@ -252,7 +269,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "(":
             self.next()
-            k = self.exponent()
+            k = self.nested(self.exponent, tok)
             self.expect(")")
             return k
         sign = 1
@@ -267,7 +284,7 @@ class _Parser:
         if tok[0] == "INT":
             return self._scalar(CommPoly.scalar(self.ctx.order, int(tok[1])))
         if tok[0] == "(":
-            val = self.expr()
+            val = self.nested(self.expr, tok)
             self.expect(")")
             return val
         if tok[0] == "NAME":
@@ -374,6 +391,7 @@ class _Parser:
         sub.text = self.text
         sub.toks = self.toks
         sub.i = self.i
+        sub.depth = self.depth
         sub.ctx = _Context(
             mode="elem",
             order=self.ctx.order,
@@ -381,7 +399,7 @@ class _Parser:
             hopf=self.ctx.hopf,
             max_degree=self.ctx.max_degree,
         )
-        val = sub.expr()
+        val = sub.nested(sub.expr, self.peek(), levels=2)
         self.i = sub.i
         kind, v = sub._promote(val)
         return v

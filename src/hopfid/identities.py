@@ -19,8 +19,8 @@ from math import factorial
 from .commpoly import CommPoly, ParamVar, TVar
 from .comodule import ComoduleAlgebra, Symbolic, galois_object
 from .cyclotomic import CyclotomicNumber
-from .hopf import HopfPresentation, taft, en, trivial_hopf
-from .ncalg import AlgElement, PresentedAlgebra, tensor_product
+from .hopf import HopfPresentation, antipode, taft, en, trivial_hopf
+from .ncalg import AlgElement, Morphism, PresentedAlgebra, tensor_product
 
 __all__ = [
     "FreeComodulePoly",
@@ -40,6 +40,7 @@ __all__ = [
     "commutator_identity",
     "standard_polynomial",
     "verify_matrix_identity",
+    "matrix_identity_witness",
     "substitute",
     "distinguish",
     "Distinguished",
@@ -236,41 +237,47 @@ def t_var(H: HopfPresentation, i: int, h) -> CommPoly:
     return CommPoly.variable(H.algebra.order, TVar(i, r, label))
 
 
+def _t_coaction_image(T: PresentedAlgebra, TH: PresentedAlgebra, gid: int):
+    """X[i,h] -> sum X[i,h1] tensor h2."""
+    H = T.free_hopf
+    ng = len(T.generators)
+    i, r = _gen_meta(T, gid)
+    acc = {}
+    for w, c in H.coproduct_word(H.basis()[r]).terms.items():
+        u, v = H.square.split_word(w)
+        key = (_gen_id(T, i, H.basis_index(u)),) + tuple(g + ng for g in v)
+        acc[key] = acc.get(key, CommPoly.zero(T.order)) + c
+    return AlgElement(TH, acc)
+
+
 def t_coaction(P: FreeComodulePoly) -> AlgElement:
     """The coaction of T(X_H), valued in T tensor H."""
-    H = P.hopf
-    T = free_algebra(H, P.copies)
-    TH = tensor_product(T, H.algebra)
-    ng = len(T.generators)
-    images = getattr(T, "_t_coaction_images", None)
-    if images is None:
-        images = {}
-        basis = H.basis()
-        for gid in range(ng):
-            i, r = _gen_meta(T, gid)
-            acc = {}
-            for w, c in H.coproduct_word(basis[r]).terms.items():
-                u, v = H.square.split_word(w)
-                key = (_gen_id(T, i, H.basis_index(u)),) + tuple(g + ng for g in v)
-                acc[key] = acc.get(key, CommPoly.zero(T.order)) + c
-            images[gid] = AlgElement(TH, acc)
-        T._t_coaction_images = images
-    out = TH.zero()
-    for w, c in P.element.terms.items():
-        img = TH.one()
-        for gid in w:
-            img = img * images[gid]
-        out = out + img * c
-    return out
+    T = free_algebra(P.hopf, P.copies)
+    delta = getattr(T, "coaction_map", None)
+    if delta is None:
+        TH = tensor_product(T, P.hopf.algebra)
+        T.coaction_map = delta = Morphism(T, TH, lambda g: _t_coaction_image(T, TH, g))
+    return delta(P.element)
 
 
 def is_coinvariant(P: FreeComodulePoly) -> bool:
     """Whether the coaction fixes P, i.e. sends it to P tensor 1."""
-    H = P.hopf
-    T = free_algebra(H, P.copies)
-    TH = tensor_product(T, H.algebra)
-    embedded = AlgElement(TH, dict(P.element.terms))
-    return t_coaction(P) == embedded
+    image = t_coaction(P)
+    # words of T embed into T tensor H unchanged
+    return image == AlgElement(image.algebra, dict(P.element.terms))
+
+
+def _mu_image(T: PresentedAlgebra, A: ComoduleAlgebra, gid: int) -> AlgElement:
+    """X[i,h] -> sum t[i,h1] * u(h2)."""
+    H = A.hopf
+    i, r = _gen_meta(T, gid)
+    acc = A.algebra.zero()
+    for sw, sc in H.coproduct_word(H.basis()[r]).terms.items():
+        u, v = H.square.split_word(sw)
+        label = H.algebra.render_word(u)
+        tpoly = CommPoly.variable(T.order, TVar(i, H.basis_index(u), label))
+        acc = acc + AlgElement(A.algebra, {A.section[v]: sc * tpoly})
+    return acc
 
 
 def mu(P: FreeComodulePoly, A: ComoduleAlgebra) -> AlgElement:
@@ -280,32 +287,16 @@ def mu(P: FreeComodulePoly, A: ComoduleAlgebra) -> AlgElement:
     parameters and the t variables; P is an identity for A exactly when the
     image is zero.
     """
-    H = P.hopf
-    if A.hopf is not H:
+    if A.hopf is not P.hopf:
         raise ValueError("object and polynomial live over different Hopf algebras")
-    T = free_algebra(H, P.copies)
-    order = T.order
-    basis = H.basis()
-    out = A.algebra.zero()
-    for w, c in P.element.terms.items():
-        img = A.algebra.one()
-        for gid in w:
-            gimg = A._mu_images.get(gid)
-            if gimg is None:
-                i, r = _gen_meta(T, gid)
-                acc = A.algebra.zero()
-                for sw, sc in H.coproduct_word(basis[r]).terms.items():
-                    u, v = H.square.split_word(sw)
-                    label = H.algebra.render_word(u)
-                    tpoly = CommPoly.variable(
-                        order, TVar(i, H.basis_index(u), label)
-                    )
-                    acc = acc + AlgElement(A.algebra, {A.section[v]: sc * tpoly})
-                gimg = acc
-                A._mu_images[gid] = gimg
-            img = img * gimg
-        out = out + img * c
-    return out
+    T = free_algebra(P.hopf, P.copies)
+    f = A.mu_map
+    if f is None:
+        f = A.mu_map = Morphism(T, A.algebra, lambda gid: _mu_image(T, A, gid))
+    elif f.source.free_copies < P.copies:
+        # more copies only append generators, which _mu_image maps from any T
+        f.extend(T)
+    return f(P._lift(f.source.free_copies).element)
 
 
 def is_identity(P: FreeComodulePoly, A: ComoduleAlgebra) -> bool:
@@ -430,10 +421,7 @@ def coinvariant_Q(h: AlgElement, h2: AlgElement) -> FreeComodulePoly:
                 u, v = H.square.split_word(sw)
                 for sw2, sc2 in H.coproduct_word(w2).terms.items():
                     u2, v2 = H.square.split_word(sw2)
-                    prod = alg.normal_form_word(v + v2)
-                    s_part = alg.zero()
-                    for pw, pc in prod.terms.items():
-                        s_part = s_part + H.antipode_word(pw) * pc
+                    s_part = antipode(H, alg.normal_form_word(v + v2))
                     piece = (
                         x_symbol(1, alg.element({u: 1}))
                         * x_symbol(1, alg.element({u2: 1}))
@@ -472,11 +460,19 @@ def standard_polynomial(m: int) -> FreeComodulePoly:
 
 
 def verify_matrix_identity(m: int, k: int, budget: int = 5_000_000) -> bool:
-    """Whether the standard polynomial of degree m vanishes on k x k matrices.
+    """Whether the standard polynomial of degree m vanishes on k x k matrices."""
+    return matrix_identity_witness(m, k, budget) is None
 
-    By multilinearity it is enough to substitute matrix units in all ways;
-    each product of units is a unit or zero, so terms are evaluated by
-    chaining indices.  Guarded by an explicit combinatorial budget.
+
+def matrix_identity_witness(m: int, k: int, budget: int = 5_000_000):
+    """The first matrix-unit assignment on which s_m is nonzero, or None.
+
+    Returns (assignment, value): assignment lists the unit (i, j) put in for
+    X1..Xm, and value maps each unit of the nonzero result to its integer
+    coefficient.  By multilinearity it is enough to substitute matrix units
+    in all ways; each product of units is a unit or zero, so terms are
+    evaluated by chaining indices.  Guarded by an explicit combinatorial
+    budget.
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
@@ -494,9 +490,10 @@ def verify_matrix_identity(m: int, k: int, budget: int = 5_000_000) -> bool:
             if all(seq[t][1] == seq[t + 1][0] for t in range(m - 1)):
                 key = (seq[0][0], seq[-1][1])
                 acc[key] = acc.get(key, 0) + sign
-        if any(acc.values()):
-            return False
-    return True
+        value = {unit: c for unit, c in sorted(acc.items()) if c}
+        if value:
+            return assign, value
+    return None
 
 
 def substitute(P: FreeComodulePoly, image_fn) -> FreeComodulePoly:
@@ -508,19 +505,15 @@ def substitute(P: FreeComodulePoly, image_fn) -> FreeComodulePoly:
     H = P.hopf
     T = free_algebra(H, P.copies)
     basis = H.basis()
-    out = FreeComodulePoly.zero(H, P.copies)
-    img_cache = {}
-    for w, c in P.element.terms.items():
-        img = FreeComodulePoly.scalar(H, 1, P.copies)
-        for gid in w:
-            g = img_cache.get(gid)
-            if g is None:
-                i, r = _gen_meta(T, gid)
-                g = image_fn(i, basis[r])
-                img_cache[gid] = g
-            img = img * g
-        out = out + img * c
-    return out
+    images = {}
+    for gid in sorted({gid for w in P.element.terms for gid in w}):
+        i, r = _gen_meta(T, gid)
+        images[gid] = image_fn(i, basis[r])
+    # the result lives in the free algebra on the most copies any image uses
+    copies = max([P.copies] + [g.copies for g in images.values()])
+    target = free_algebra(H, copies)
+    f = Morphism(T, target, lambda gid: images[gid]._lift(copies).element)
+    return FreeComodulePoly(H, copies, f(P.element))
 
 
 # -- parameter comparison of two objects ---------------------------------------

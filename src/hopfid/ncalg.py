@@ -21,6 +21,7 @@ __all__ = [
     "RewriteRule",
     "PresentedAlgebra",
     "AlgElement",
+    "Morphism",
     "tensor_product",
     "check_confluence",
     "ConfluenceReport",
@@ -403,6 +404,73 @@ class AlgElement:
 
     def __repr__(self):
         return f"AlgElement({self.algebra.name}: {self})"
+
+
+class Morphism:
+    """An algebra map, or antihomomorphism if anti, fixed on generators.
+
+    image is a function of the generator index (pass tuple(seq).__getitem__
+    for images listed in order); each generator image is computed at most
+    once.  word(w) multiplies generator images left to right (right to
+    left when anti) and keeps the result for w alone, so only the words
+    callers ask for by name are cached; it starts from the image of w less
+    its last letter (first when anti) if that word was asked for before, as
+    happens when callers walk a basis in order.  Applied to an element, the
+    map walks its words in sorted order and reuses the image of the prefix
+    each word shares with the one before.
+    """
+
+    def __init__(self, source, target, image, anti=False):
+        self.source = source
+        self.target = target
+        self.anti = anti
+        self._image = image
+        self._gens = {}
+        self._words = {(): target.one()}
+
+    def extend(self, source):
+        """Move to a larger source whose generators begin with ours; images stay."""
+        if source.generators[: len(self.source.generators)] != self.source.generators:
+            raise ValueError(f"{source.name} does not extend {self.source.name}")
+        self.source = source
+
+    def generator(self, g) -> AlgElement:
+        hit = self._gens.get(g)
+        if hit is None:
+            hit = self._gens[g] = self._image(g)
+        return hit
+
+    def word(self, word) -> AlgElement:
+        word = tuple(word)
+        hit = self._words.get(word)
+        if hit is None:
+            letters = word[::-1] if self.anti else word
+            base = self._words.get(word[1:] if self.anti else word[:-1])
+            hit = self.target.one() if base is None else base
+            for g in letters if base is None else letters[-1:]:
+                hit = hit * self.generator(g)
+            self._words[word] = hit
+        return hit
+
+    def __call__(self, elem: AlgElement) -> AlgElement:
+        if elem.algebra is not self.source:
+            raise ValueError(f"element does not belong to {self.source.name}")
+        keyed = [(w[::-1] if self.anti else w, c) for w, c in elem.terms.items()]
+        keyed.sort(key=lambda p: p[0])
+        stack = [self.target.one()]  # stack[k] is the image of prev[:k]
+        prev = ()
+        acc = {}
+        for w, c in keyed:
+            k = 0
+            while k < len(prev) and k < len(w) and prev[k] == w[k]:
+                k += 1
+            del stack[k + 1 :]
+            for g in w[k:]:
+                stack.append(stack[-1] * self.generator(g))
+            for tw, tc in stack[-1].terms.items():
+                acc[tw] = acc[tw] + tc * c if tw in acc else tc * c
+            prev = w
+        return AlgElement(self.target, acc)
 
 
 # -- tensor products ----------------------------------------------------------

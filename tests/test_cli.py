@@ -107,7 +107,25 @@ def test_verify_standard_on_matrices(capsys):
     assert out == "standard:4: identity verified on 2x2 matrices\n"
     code, out, _ = run(capsys, "verify", "--object", "matrix:2", "standard:2")
     assert code == 1
-    assert out == "standard:2: not an identity on 2x2 matrices\n"
+    assert out == (
+        "standard:2: not an identity on 2x2 matrices\n"
+        "witness: s_2(e[1,1], e[1,2]) = e[1,2]\n"
+    )
+
+
+def test_verify_standard_failure_carries_witness(capsys):
+    code, out, _ = run(capsys, "verify", "--object", "matrix:2", "standard:3")
+    assert code == 1
+    assert out == (
+        "standard:3: not an identity on 2x2 matrices\n"
+        "witness: s_3(e[1,1], e[1,2], e[2,1]) = 2*e[1,1] + e[2,2]\n"
+    )
+    code, payload = run_json(capsys, "verify", "--object", "matrix:2", "standard:3")
+    assert code == 1
+    assert payload["result"]["verified"] is False
+    assert payload["result"]["witness"] == (
+        "s_3(e[1,1], e[1,2], e[2,1]) = 2*e[1,1] + e[2,2]"
+    )
 
 
 def test_verify_usage_errors(capsys):
@@ -244,6 +262,23 @@ def test_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "normalform", "--algebra", "nope:3", "x")
     assert code == 2
     assert "unknown family" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--object", "taft:2;a=1;c=0", "(" * 3000 + "X" + ")" * 3000],
+        ["normalform", "--algebra", "taft:2", "(" * 3000 + "x" + ")" * 3000],
+        ["verify", "--object", "taft:2;a=1;c=0", "0" + "-" * 3000 + "X"],
+    ],
+    ids=["verify-parens", "normalform-parens", "verify-minus-chain"],
+)
+def test_deep_nesting_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: nesting deeper than 100 levels")
+    assert "Traceback" not in err
 
 
 def test_max_degree_guard_exits_2(capsys):

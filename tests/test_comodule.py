@@ -3,6 +3,7 @@
 import pytest
 
 from hopfid.comodule import (
+    ComoduleAlgebra,
     GaloisObjectSpec,
     Symbolic,
     check_comodule,
@@ -15,6 +16,7 @@ from hopfid.comodule import (
 )
 from hopfid.cyclotomic import CyclotomicNumber
 from hopfid.hopf import coproduct, en, taft
+from hopfid.ncalg import Morphism
 
 
 def test_taft_spec_construction():
@@ -132,6 +134,22 @@ def test_check_comodule_passes_symbolically():
     assert check_comodule(galois_object(taft_object_spec(3))).ok
     assert check_comodule(galois_object(en_object_spec(1))).ok
     assert check_comodule(galois_object(en_object_spec(2))).ok
+
+
+def test_corrupted_coaction_is_flagged():
+    # send y to 1 (x) y, dropping the y (x) x term, as test_hopf corrupts a
+    # coproduct; the relations still hold, the comodule laws do not
+    A = ComoduleAlgebra(taft_object_spec(2, a=1, c=0))
+    x_image = A.coaction_word((0,))
+    images = (x_image, A.tensor.element({(3,): 1}))
+    A.coaction_map = Morphism(A.algebra, A.tensor, images.__getitem__)
+    rep = check_comodule(A)
+    assert not rep.ok
+    failures = "\n".join(rep.failures)
+    assert "coaction coassociativity fails on y" in failures
+    assert "coaction counit law fails on y" in failures
+    assert not [f for f in rep.failures if f.endswith(" on x")]
+    assert "relation" not in failures
 
 
 def test_coinvariants_trivial_for_galois_objects():

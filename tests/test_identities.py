@@ -22,6 +22,7 @@ from hopfid.identities import (
     free_algebra,
     is_coinvariant,
     is_identity,
+    matrix_identity_witness,
     mu,
     standard_polynomial,
     substitute,
@@ -383,6 +384,17 @@ def test_verify_matrix_identity():
     assert verify_matrix_identity(2, 1)
     with pytest.raises(ValueError):
         verify_matrix_identity(10, 4, budget=1000)
+
+
+def test_matrix_identity_witness():
+    assert matrix_identity_witness(4, 2) is None
+    # s_2 is the commutator: e11 e12 - e12 e11 = e12
+    assert matrix_identity_witness(2, 2) == (((0, 0), (0, 1)), {(0, 1): 1})
+    assign, value = matrix_identity_witness(3, 2)
+    assert assign == ((0, 0), (0, 1), (1, 0))
+    assert value == {(0, 0): 2, (1, 1): 1}
+    with pytest.raises(ValueError):
+        matrix_identity_witness(10, 4, budget=1000)
 
 
 def test_substitute_endomorphism():

@@ -6,6 +6,7 @@ from hopfid.commpoly import CommPoly, ParamVar
 from hopfid.comodule import Symbolic, galois_object, taft_object_spec
 from hopfid.cyclotomic import CyclotomicNumber, primitive_root
 from hopfid.exprparse import (
+    MAX_NESTING,
     MatrixSpec,
     ParseError,
     parse_expression,
@@ -204,6 +205,29 @@ def test_parse_errors_carry_position():
         parse_expression("X[0,x]", taft(2))
     with pytest.raises(ParseError):
         parse_expression("", alg)
+
+
+def test_nesting_limit():
+    H = taft(2)
+    alg = H.algebra
+    deep = MAX_NESTING
+    assert parse_expression("(" * deep + "x" + ")" * deep, alg) == alg.gen("x")
+    assert parse_expression("-" * deep + "x", alg) == alg.gen("x")
+    assert parse_expression("x^" + "(" * deep + "2" + ")" * deep, alg) == alg.one()
+    # a bracket sub-expression counts two levels
+    inner = "(" * (deep - 2) + "x" + ")" * (deep - 2)
+    assert parse_expression(f"X[1,{inner}]", H) == parse_expression("X", H)
+    over = deep + 1
+    for text, ctx in (
+        ("(" * over + "x" + ")" * over, alg),
+        ("-" * over + "x", alg),
+        ("+" * over + "x", alg),
+        ("x^" + "(" * over + "2" + ")" * over, alg),
+        (f"X[1,({inner})]", H),
+        ("t[1," * 60 + "x" + "]" * 60, galois_object(taft_object_spec(2)).algebra),
+    ):
+        with pytest.raises(ParseError, match="nesting deeper than 100 levels"):
+            parse_expression(text, ctx)
 
 
 def test_parse_hopf_spec():
