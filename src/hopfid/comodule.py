@@ -4,9 +4,11 @@ A GaloisObjectSpec records the family, the size n, and the structure
 parameters, each either an exact cyclotomic number or symbolic (optionally
 primed, so two symbolic objects can coexist in one computation).  The Taft
 family object has relations x^n = a, yx = q xy, y^n = c; the E(n) family
-object has u^2 = a, ui^2 = ci, ui u = -u ui, ui uj + uj ui = dij.  The
-coaction is an ncalg Morphism declared on generators by the same formulas as
-the coproduct; the section u maps the Hopf basis word-for-word onto the
+object has u^2 = a, ui^2 = ci, ui u = -u ui, ui uj + uj ui = dij.  Both are
+hopf.family_relations at the spec's parameters (param_var names the
+parameter of each spec key), and the coaction is the Morphism of
+hopf.coaction_images, the coproduct's formulas; H itself is the object at
+a = 1, c = d = 0.  The section u maps the Hopf basis word-for-word onto the
 object's normal words.
 """
 
@@ -18,15 +20,17 @@ from functools import lru_cache
 
 from .commpoly import CommPoly, ParamVar
 from .cyclotomic import CyclotomicNumber
-from .hopf import HopfPresentation, check_coaction_laws, en, taft
+from .hopf import HopfPresentation, check_coaction_laws, coaction_images
+from .hopf import en, family_relations, taft
 from .linalg import kernel_basis, rank
-from .ncalg import AlgElement, Morphism, PresentedAlgebra, RewriteRule, tensor_product
+from .ncalg import AlgElement, Morphism, PresentedAlgebra, tensor_product
 
 __all__ = [
     "Symbolic",
     "GaloisObjectSpec",
     "taft_object_spec",
     "en_object_spec",
+    "param_var",
     "ComoduleAlgebra",
     "galois_object",
     "coaction",
@@ -133,10 +137,10 @@ def en_object_spec(n, a=Symbolic(), c=None, d=None) -> GaloisObjectSpec:
     return GaloisObjectSpec("en", n, tuple(values))
 
 
-def _param_poly(order, tag, indices, value) -> CommPoly:
-    if isinstance(value, Symbolic):
-        return CommPoly.variable(order, ParamVar(tag, indices, value.prime))
-    return CommPoly.constant(value)
+def param_var(key, prime=0) -> ParamVar:
+    """The structure parameter a spec key names: a, c, c<i> or d<i>,<j>."""
+    indices = tuple(int(i) for i in key[1:].split(",")) if key[1:] else ()
+    return ParamVar(key[0], indices, prime)
 
 
 class ComoduleAlgebra:
@@ -144,52 +148,21 @@ class ComoduleAlgebra:
 
     def __init__(self, spec: GaloisObjectSpec):
         self.spec = spec
-        self.hopf = spec.hopf()
-        H = self.hopf
-        order = H.algebra.order
+        self.hopf = H = spec.hopf()
         self.name = f"A({spec.render()})"
-        if spec.family == "taft":
-            n = spec.n
-            a_poly = _param_poly(order, "a", (), spec.value("a"))
-            c_poly = _param_poly(order, "c", (), spec.value("c"))
-            qp = CommPoly.constant(H.q)
-            rules = (
-                RewriteRule((0,) * n, [((), a_poly)]),
-                RewriteRule((1, 0), [((0, 1), qp)]),
-                RewriteRule((1,) * n, [((), c_poly)] if not c_poly.is_zero() else []),
-            )
-            alg = PresentedAlgebra(self.name, ("x", "y"), order, rules)
-        else:
-            n = spec.n
-            a_poly = _param_poly(order, "a", (), spec.value("a"))
-            minus = CommPoly.scalar(order, -1)
-            names = ["u"] + [f"u{i}" for i in range(1, n + 1)]
-            rules = [RewriteRule((0, 0), [((), a_poly)])]
-            for i in range(1, n + 1):
-                ci = _param_poly(order, "c", (i,), spec.value(f"c{i}"))
-                rules.append(RewriteRule((i, 0), [((0, i), minus)]))
-                rules.append(
-                    RewriteRule((i, i), [((), ci)] if not ci.is_zero() else [])
-                )
-                for j in range(1, i):
-                    dji = _param_poly(order, "d", (j, i), spec.value(f"d{j},{i}"))
-                    rhs = [((j, i), minus)]
-                    if not dji.is_zero():
-                        rhs.append(((), dji))
-                    rules.append(RewriteRule((i, j), rhs))
-            alg = PresentedAlgebra(self.name, names, order, rules)
-        self.algebra = alg
+        polys = {param_var(k): self.param_poly(k) for k in spec.keys()}
+        c = [p for v, p in polys.items() if v.tag == "c"]
+        d = {v.indices: p for v, p in polys.items() if v.tag == "d"}
+        rules = family_relations(H.algebra.order, polys[ParamVar("a")], c, d)
+        names = H.algebra.generators
+        if spec.family == "en":
+            names = ("u",) + tuple(f"u{i}" for i in range(1, spec.n + 1))
+        self.algebra = alg = PresentedAlgebra(self.name, names, H.algebra.order, rules)
         # lets element parsing resolve t[i,h] labels against the Hopf basis
         alg.comodule_hopf = H
         self.tensor = tensor_product(alg, H.algebra)
-        ng = len(alg.generators)
-        one = CommPoly.one(order)
-        # same formulas as the coproduct: x -> x(x)x, y -> 1(x)y + y(x)x,
-        # and each ui of the E(n) family as y
-        co = [AlgElement(self.tensor, {(0, ng): one})]
-        for i in range(1, ng):
-            co.append(AlgElement(self.tensor, {(ng + i,): one, (i, ng): one}))
-        self.coaction_map = Morphism(alg, self.tensor, tuple(co).__getitem__)
+        images = coaction_images(self.tensor)
+        self.coaction_map = Morphism(alg, self.tensor, images.__getitem__)
         # the section: Hopf basis words map one-for-one onto object words
         self.section = {}
         for w in H.basis():
@@ -200,16 +173,12 @@ class ComoduleAlgebra:
         self.mu_map = None
 
     def param_poly(self, key) -> CommPoly:
-        order = self.algebra.order
+        """The value of a spec key: its variable if symbolic, else a constant."""
         value = self.spec.value(key)
-        if key == "a":
-            return _param_poly(order, "a", (), value)
-        if key == "c":
-            return _param_poly(order, "c", (), value)
-        if key.startswith("c"):
-            return _param_poly(order, "c", (int(key[1:]),), value)
-        i, j = key[1:].split(",")
-        return _param_poly(order, "d", (int(i), int(j)), value)
+        if isinstance(value, Symbolic):
+            var = param_var(key, value.prime)
+            return CommPoly.variable(self.hopf.algebra.order, var)
+        return CommPoly.constant(value)
 
     def section_element(self, h: AlgElement) -> AlgElement:
         """Apply the section u to any element of the Hopf algebra linearly."""

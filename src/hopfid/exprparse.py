@@ -40,7 +40,14 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """A syntax or lookup error, carrying the offending position."""
+    """A syntax or lookup error, carrying the offending position.
+
+    The message echoes the text with a caret under pos; text longer than
+    ECHO_WIDTH characters is cut to that many around pos, and each cut end
+    is marked with "...".
+    """
+
+    ECHO_WIDTH = 80
 
     def __init__(self, message, pos=None, text=None):
         self.pos = pos
@@ -48,8 +55,15 @@ class ParseError(ValueError):
         if pos is not None:
             message = f"{message} (at position {pos})"
             if text is not None:
-                caret = " " * pos + "^"
-                message = f"{message}\n  {text}\n  {caret}"
+                shown, col, width = text, pos, self.ECHO_WIDTH
+                if len(text) > width:
+                    start = max(0, min(pos - width // 2, len(text) - width))
+                    shown, col = text[start : start + width], pos - start
+                    if start:
+                        shown, col = "..." + shown, col + 3
+                    if start + width < len(text):
+                        shown += "..."
+                message = f"{message}\n  {shown}\n  {' ' * col}^"
         super().__init__(message)
 
 
@@ -486,13 +500,34 @@ class MatrixSpec:
         return self.render()
 
 
-def _check_family_size(family, n):
-    """Reject sizes whose basis would blow the normal-word enumeration cap."""
+def _family_head(head, shown, matrix=False):
+    """Parse and bound-check the 'family:n' head of a spec.
+
+    A malformed size is reported with shown quoted.  matrix:<k> passes
+    through unchecked when matrix is set; a taft or en size whose basis
+    would blow the normal-word enumeration cap is rejected.
+    """
+    family, _, num = head.partition(":")
+    family = family.strip().lower()
+    try:
+        n = int(num)
+    except ValueError:
+        raise ParseError(f"missing or malformed size in {shown!r}") from None
+    if matrix and family == "matrix":
+        return family, n
+    if family not in ("taft", "en"):
+        use = "taft:<n>, en:<n>, or matrix:<k>" if matrix else "taft:<n> or en:<n>"
+        raise ParseError(f"unknown family {family!r}; use {use}")
+    if family == "taft" and n < 2:
+        raise ParseError("the Taft family needs n >= 2")
+    if family == "en" and n < 1:
+        raise ParseError("the E(n) family needs n >= 1")
     dim = n * n if family == "taft" else 2 ** (n + 1)
     if dim > 100000:
         raise ParseError(
             f"{family}:{n} has dimension {dim}, past the 100000-word bound"
         )
+    return family, n
 
 
 def parse_hopf_spec(text) -> HopfPresentation:
@@ -502,23 +537,8 @@ def parse_hopf_spec(text) -> HopfPresentation:
         raise ParseError(
             f"expected a plain family spec like taft:3, found parameters in {text!r}"
         )
-    family, _, num = head.partition(":")
-    family = family.strip().lower()
-    try:
-        n = int(num)
-    except ValueError:
-        raise ParseError(f"missing or malformed size in {text!r}") from None
-    if family == "taft":
-        if n < 2:
-            raise ParseError("the Taft family needs n >= 2")
-        _check_family_size(family, n)
-        return taft(n)
-    if family == "en":
-        if n < 1:
-            raise ParseError("the E(n) family needs n >= 1")
-        _check_family_size(family, n)
-        return en(n)
-    raise ParseError(f"unknown family {family!r}; use taft:<n> or en:<n>")
+    family, n = _family_head(head, text)
+    return taft(n) if family == "taft" else en(n)
 
 
 def _parse_value(text, order, key):
@@ -549,28 +569,14 @@ def parse_object_spec(text):
     parts = [p.strip() for p in text.strip().split(";") if p.strip()]
     if not parts:
         raise ParseError("empty object spec")
-    family, _, num = parts[0].partition(":")
-    family = family.strip().lower()
-    try:
-        n = int(num)
-    except ValueError:
-        raise ParseError(f"missing or malformed size in {parts[0]!r}") from None
+    family, n = _family_head(parts[0], parts[0], matrix=True)
     if family == "matrix":
         if parts[1:]:
             raise ParseError("matrix specs take no parameters")
         if n < 1:
             raise ParseError("matrix size must be >= 1")
         return MatrixSpec(n)
-    if family not in ("taft", "en"):
-        raise ParseError(
-            f"unknown family {family!r}; use taft:<n>, en:<n>, or matrix:<k>"
-        )
     order = n if family == "taft" else 2
-    if family == "taft" and n < 2:
-        raise ParseError("the Taft family needs n >= 2")
-    if family == "en" and n < 1:
-        raise ParseError("the E(n) family needs n >= 1")
-    _check_family_size(family, n)
     seen = {}
     for part in parts[1:]:
         key, eq, value = part.partition("=")

@@ -6,6 +6,11 @@ square), the counit (a scalar), and the antipode (valued in the algebra).
 The coproduct and the antipode are ncalg Morphisms (the antipode an
 antihomomorphism), and check_hopf_axioms verifies the axioms exhaustively on
 the basis; check_coaction_laws serves it and the comodule algebras alike.
+
+Both families are defined once.  family_relations gives the rules on x,
+y1..yk for parameters a, c, d; H is the case a = 1, c = d = 0 and its Galois
+objects (comodule.py) are the others.  coaction_images gives x -> x⊗x,
+yi -> 1⊗yi + yi⊗x, the coproduct on generators and every object's coaction.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from .ncalg import (
     Morphism,
     PresentedAlgebra,
     RewriteRule,
-    embed,
     tensor_product,
 )
 
 __all__ = [
     "HopfPresentation",
+    "family_relations",
+    "coaction_images",
     "taft",
     "en",
     "trivial_hopf",
@@ -105,6 +111,60 @@ def antipode(H: HopfPresentation, e: AlgElement) -> AlgElement:
     return H.antipode_map(e)
 
 
+def family_relations(order, a, c, d) -> tuple:
+    """The rules on x, y1..yk of a family algebra with parameters a, c, d.
+
+    With N = order and q = primitive_root(order): x^N -> a, then for each i
+    yi x -> q x yi, yi^N -> ci and, for j < i, yi yj -> -yj yi + d[(j, i)].
+    a and the k entries of c are CommPolys; d maps pairs (j, i) to CommPolys
+    and may omit zeros.  The Hopf algebra itself is a = 1, c = d = 0.
+    """
+    q = CommPoly.constant(primitive_root(order))
+    minus = CommPoly.scalar(order, -1)
+
+    def const(p):
+        return [((), p)] if p is not None and not p.is_zero() else []
+
+    rules = [RewriteRule((0,) * order, const(a))]
+    for i, ci in enumerate(c, start=1):
+        rules.append(RewriteRule((i, 0), [((0, i), q)]))
+        rules.append(RewriteRule((i,) * order, const(ci)))
+        for j in range(1, i):
+            rules.append(RewriteRule((i, j), [((j, i), minus)] + const(d.get((j, i)))))
+    return tuple(rules)
+
+
+def coaction_images(tensor) -> tuple:
+    """x -> x⊗x and yi -> 1⊗yi + yi⊗x in M ⊗ H, for M laid out like H.
+
+    Generator 0 of both factors is x, the others y1..yk.  With M = H these
+    are the coproduct on generators; with M a family object, its coaction.
+    """
+    ng = len(tensor.tensor_factors[0].generators)
+    one = CommPoly.one(tensor.order)
+    return (AlgElement(tensor, {(0, ng): one}),) + tuple(
+        AlgElement(tensor, {(ng + i,): one, (i, ng): one}) for i in range(1, ng)
+    )
+
+
+def _family_hopf(family, n, order, names) -> HopfPresentation:
+    """The family's Hopf algebra on generators x, y1..yk.
+
+    Its relations are family_relations at a = 1, c = d = 0; eps(x) = 1,
+    eps(yi) = 0, S(x) = x^(N-1) and S(yi) = -q^-1 x^(N-1) yi, N = order.
+    """
+    k = len(names) - 1
+    rules = family_relations(order, CommPoly.one(order), [CommPoly.zero(order)] * k, {})
+    alg = PresentedAlgebra(f"{family}:{n}", names, order, rules)
+    q = primitive_root(order)
+    xs = (0,) * (order - 1)
+    anti = [alg.element({xs: 1})]
+    anti += [alg.element({xs + (i,): -q.inverse()}) for i in range(1, k + 1)]
+    eps = [CyclotomicNumber.one(order)] + [CyclotomicNumber.zero(order)] * k
+    cop = coaction_images(tensor_product(alg, alg))
+    return HopfPresentation(alg.name, family, n, alg, cop, eps, anti, q)
+
+
 @lru_cache(maxsize=None)
 def taft(n: int) -> HopfPresentation:
     """The n^2-dimensional Taft algebra over Q(zeta_n); n = 2 is Sweedler's.
@@ -114,24 +174,7 @@ def taft(n: int) -> HopfPresentation:
     """
     if n < 2:
         raise ValueError("the Taft family starts at n = 2")
-    q = primitive_root(n)
-    one = CommPoly.one(n)
-    qp = CommPoly.constant(q)
-    X, Y = 0, 1
-    rules = (
-        RewriteRule((X,) * n, [((), one)]),
-        RewriteRule((Y, X), [((X, Y), qp)]),
-        RewriteRule((Y,) * n, []),
-    )
-    alg = PresentedAlgebra(f"taft:{n}", ("x", "y"), n, rules)
-    sq = tensor_product(alg, alg)
-    x0, x1 = embed(alg.gen("x"), sq, 0), embed(alg.gen("x"), sq, 1)
-    y0, y1 = embed(alg.gen("y"), sq, 0), embed(alg.gen("y"), sq, 1)
-    cop = (x0 * x1, y1 + y0 * x1)
-    eps = (CyclotomicNumber.one(n), CyclotomicNumber.zero(n))
-    xinv = alg.element({("x",) * (n - 1): 1})
-    s_y = alg.element({("x",) * (n - 1) + ("y",): -(q.inverse())})
-    return HopfPresentation(f"taft:{n}", "taft", n, alg, cop, eps, (xinv, s_y), q)
+    return _family_hopf("taft", n, n, ("x", "y"))
 
 
 @lru_cache(maxsize=None)
@@ -143,30 +186,7 @@ def en(n: int) -> HopfPresentation:
     """
     if n < 1:
         raise ValueError("the E(n) family starts at n = 1")
-    order = 2
-    q = primitive_root(order)  # -1
-    one = CommPoly.one(order)
-    minus = CommPoly.scalar(order, -1)
-    names = ["x"] + [f"y{i}" for i in range(1, n + 1)]
-    rules = [RewriteRule((0, 0), [((), one)])]
-    for i in range(1, n + 1):
-        rules.append(RewriteRule((i, 0), [((0, i), minus)]))
-        rules.append(RewriteRule((i, i), []))
-        for j in range(1, i):
-            rules.append(RewriteRule((i, j), [((j, i), minus)]))
-    alg = PresentedAlgebra(f"en:{n}", names, order, rules)
-    sq = tensor_product(alg, alg)
-    x0, x1 = embed(alg.gen("x"), sq, 0), embed(alg.gen("x"), sq, 1)
-    cop = [x0 * x1]
-    eps = [CyclotomicNumber.one(order)]
-    anti = [alg.gen("x")]
-    for i in range(1, n + 1):
-        yi0 = embed(alg.element({(i,): 1}), sq, 0)
-        yi1 = embed(alg.element({(i,): 1}), sq, 1)
-        cop.append(yi1 + yi0 * x1)
-        eps.append(CyclotomicNumber.zero(order))
-        anti.append(alg.element({(i, 0): -1}))
-    return HopfPresentation(f"en:{n}", "en", n, alg, cop, eps, anti, q)
+    return _family_hopf("en", n, 2, ("x",) + tuple(f"y{i}" for i in range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -178,9 +198,7 @@ def trivial_hopf() -> HopfPresentation:
     )
 
 
-_qbinom_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def qbinom(m: int, k: int, q: CyclotomicNumber) -> CyclotomicNumber:
     """Gaussian binomial coefficient by the q-Pascal recurrence.
 
@@ -190,12 +208,7 @@ def qbinom(m: int, k: int, q: CyclotomicNumber) -> CyclotomicNumber:
         return CyclotomicNumber.zero(q.order)
     if k == 0 or k == m:
         return CyclotomicNumber.one(q.order)
-    key = (m, k, q)
-    hit = _qbinom_cache.get(key)
-    if hit is None:
-        hit = qbinom(m - 1, k - 1, q) + q**k * qbinom(m - 1, k, q)
-        _qbinom_cache[key] = hit
-    return hit
+    return qbinom(m - 1, k - 1, q) + q**k * qbinom(m - 1, k, q)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .commpoly import CommPoly, ParamVar, TVar
-from .comodule import ComoduleAlgebra, Symbolic, galois_object
+from .comodule import ComoduleAlgebra, Symbolic, galois_object, param_var
 from .cyclotomic import CyclotomicNumber
 from .hopf import HopfPresentation, antipode, taft, en, trivial_hopf
 from .ncalg import AlgElement, Morphism, PresentedAlgebra, tensor_product
@@ -47,9 +48,7 @@ __all__ = [
     "Isomorphic",
 ]
 
-_free_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def free_algebra(H: HopfPresentation, copies: int) -> PresentedAlgebra:
     """The free algebra on X[i,h], i = 1..copies, h over the basis of H.
 
@@ -58,20 +57,12 @@ def free_algebra(H: HopfPresentation, copies: int) -> PresentedAlgebra:
     """
     if copies < 1:
         raise ValueError("need at least one copy index")
-    key = (H, copies)
-    hit = _free_cache.get(key)
-    if hit is None:
-        labels = [H.algebra.render_word(w) for w in H.basis()]
-        names = [
-            f"X[{i},{lab}]"
-            for i in range(1, copies + 1)
-            for lab in labels
-        ]
-        hit = PresentedAlgebra(f"T(X_{H.name};{copies})", names, H.algebra.order, ())
-        hit.free_hopf = H
-        hit.free_copies = copies
-        _free_cache[key] = hit
-    return hit
+    labels = [H.algebra.render_word(w) for w in H.basis()]
+    names = [f"X[{i},{lab}]" for i in range(1, copies + 1) for lab in labels]
+    T = PresentedAlgebra(f"T(X_{H.name};{copies})", names, H.algebra.order, ())
+    T.free_hopf = H
+    T.free_copies = copies
+    return T
 
 
 class FreeComodulePoly:
@@ -375,15 +366,8 @@ def catalog(H: HopfPresentation):
 
 def bind_to_object(P: FreeComodulePoly, A: ComoduleAlgebra) -> FreeComodulePoly:
     """Specialize the catalog parameters of P to the object's own values."""
-    spec = A.spec
-    assignment = {}
-    if spec.family == "taft":
-        assignment[ParamVar("c")] = A.param_poly("c")
-    elif spec.family == "en":
-        for i in range(1, spec.n + 1):
-            assignment[ParamVar("c", (i,))] = A.param_poly(f"c{i}")
-            for j in range(i + 1, spec.n + 1):
-                assignment[ParamVar("d", (i, j))] = A.param_poly(f"d{i},{j}")
+    # a is no catalog parameter: the catalog identities hold for every a
+    assignment = {param_var(k): A.param_poly(k) for k in A.spec.keys() if k != "a"}
     T = free_algebra(P.hopf, P.copies)
     terms = {}
     for w, c in P.element.terms.items():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .commpoly import CommPoly
 from .cyclotomic import CyclotomicNumber
@@ -76,6 +77,7 @@ class PresentedAlgebra:
             self._rules_by_first.setdefault(r.lhs[0], []).append(r)
         self._max_lhs = max((len(r.lhs) for r in self.rules), default=0)
         self._nf_cache = {}
+        self._basis_cache = None
         self._one_poly = CommPoly.one(order)
 
     # -- construction helpers ------------------------------------------------
@@ -184,7 +186,7 @@ class PresentedAlgebra:
 
     def basis(self, limit: int = 100000):
         """All normal words in deglex order; errors out past limit words."""
-        if getattr(self, "_basis_cache", None) is not None:
+        if self._basis_cache is not None:
             return self._basis_cache
         out = [()]
         level = [()]
@@ -475,9 +477,7 @@ class Morphism:
 
 # -- tensor products ----------------------------------------------------------
 
-_tensor_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def tensor_product(*factors) -> PresentedAlgebra:
     """The tensor product algebra with factor-wise rules and cross commutation.
 
@@ -486,10 +486,6 @@ def tensor_product(*factors) -> PresentedAlgebra:
     front of every right-factor letter, and the cross rule (1 x g)(h x 1) ->
     (h x 1)(1 x g) is strictly decreasing.
     """
-    key = tuple(factors)
-    hit = _tensor_cache.get(key)
-    if hit is not None:
-        return hit
     if not factors:
         raise ValueError("tensor product needs at least one factor")
     order = factors[0].order
@@ -520,9 +516,7 @@ def tensor_product(*factors) -> PresentedAlgebra:
                     lo = offsets[k1] + g1
                     rules.append(RewriteRule((hi, lo), [((lo, hi), one)]))
     name = " ⊗ ".join(f.name for f in factors)
-    alg = PresentedAlgebra(name, gens, order, rules, tensor_factors=tuple(factors))
-    _tensor_cache[key] = alg
-    return alg
+    return PresentedAlgebra(name, gens, order, rules, tensor_factors=tuple(factors))
 
 
 def embed(elem: AlgElement, product: PresentedAlgebra, factor: int) -> AlgElement:

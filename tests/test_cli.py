@@ -1,9 +1,16 @@
-"""End-to-end command line tests, driving main() in process."""
+"""End-to-end command line tests, driving main() in process.
+
+One case runs the console module in a real process, to see its stderr.
+"""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hopfid
 from hopfid.cli import main
 
 
@@ -279,6 +286,31 @@ def test_deep_nesting_exits_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: nesting deeper than 100 levels")
     assert "Traceback" not in err
+
+
+def test_deep_nesting_error_is_short():
+    # a real process, so a traceback would show on stderr
+    src = os.path.dirname(os.path.dirname(hopfid.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    deep = "(" * 3000 + "X" + ")" * 3000
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfid.cli", "verify", "--object", "taft:2;a=1;c=0", deep],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr) < 400
+    assert "nesting deeper than 100 levels" in proc.stderr
+
+
+def test_leading_minus_expression_after_double_dash(capsys):
+    # without "--" argparse reads "-X*Y" as an option
+    code, out, _ = run(capsys, "verify", "--object", "taft:2;a=1;c=0", "--", "-X*Y")
+    assert code == 1
+    assert out.startswith("-X*Y: not an identity for A(taft:2;a=1;c=0)\n")
+    assert "witness mu-image: " in out
 
 
 def test_max_degree_guard_exits_2(capsys):

@@ -207,6 +207,31 @@ def test_parse_errors_carry_position():
         parse_expression("", alg)
 
 
+def test_parse_error_echo_is_cut_around_the_position():
+    # up to 80 characters the whole text is echoed
+    text = "x" * 79 + "@"
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, taft(2).algebra)
+    assert str(err.value) == (
+        f"unexpected character '@' (at position 79)\n  {text}\n  {' ' * 79}^"
+    )
+    # longer text: at most 80 characters around pos, "..." at each cut end
+    text = "".join(chr(ord("a") + i % 26) for i in range(300))
+    for pos in (0, 5, 39, 40, 41, 150, 259, 260, 299, 300):
+        lines = str(ParseError("bad", pos, text)).split("\n")
+        assert lines[0] == f"bad (at position {pos})"
+        shown, caret = lines[1][2:], lines[2][2:]
+        body = shown.removeprefix("...").removesuffix("...")
+        assert len(body) == 80 and body in text
+        assert shown.startswith("...") == (not text.startswith(body))
+        assert shown.endswith("...") == (not text.endswith(body))
+        assert caret == " " * (len(caret) - 1) + "^"
+        col = len(caret) - 1
+        assert shown[col : col + 1] == text[pos : pos + 1]
+    short = str(ParseError("bad", 3, "x" * 80)).split("\n")
+    assert short[1] == "  " + "x" * 80
+
+
 def test_nesting_limit():
     H = taft(2)
     alg = H.algebra
