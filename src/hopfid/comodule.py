@@ -226,21 +226,15 @@ def coinvariants(A: ComoduleAlgebra):
     _require_numeric(A, "coinvariant computation")
     order = A.algebra.order
     basis = A.algebra.basis()
-    columns = []
-    row_index = {}
-    for w in basis:
+    rows = {}  # tensor word -> sparse row over the basis columns
+    for j, w in enumerate(basis):
         col = {tw: _const(c) for tw, c in A.coaction_word(w).terms.items()}
-        # subtract w tensor 1 (the object word embeds with unchanged indices)
+        # subtract w tensor 1 (the object word embeds with unchanged indices);
+        # a zero entry left here is dropped by kernel_basis
         col[w] = col.get(w, CyclotomicNumber.zero(order)) - CyclotomicNumber.one(order)
-        for tw in col:
-            row_index.setdefault(tw, len(row_index))
-        columns.append(col)
-    zero = CyclotomicNumber.zero(order)
-    rows = [[zero] * len(basis) for _ in range(len(row_index))]
-    for j, col in enumerate(columns):
         for tw, val in col.items():
-            rows[row_index[tw]][j] = val
-    vectors = kernel_basis(rows, len(basis), order)
+            rows.setdefault(tw, {})[j] = val
+    vectors = kernel_basis(list(rows.values()), len(basis), order)
     out = []
     for vec in vectors:
         terms = {
@@ -255,31 +249,22 @@ def coinvariants(A: ComoduleAlgebra):
 def galois_map_bijective(A: ComoduleAlgebra) -> bool:
     """Whether beta(a tensor a') = (a tensor 1) delta(a') is bijective.
 
-    Assembles the full matrix of beta on the product basis and computes its
+    Assembles the sparse matrix of beta on the product basis and computes its
     exact rank; needs numeric parameters.
     """
     _require_numeric(A, "the Galois map test")
     order = A.algebra.order
     basis = A.algebra.basis()
     dim = len(basis)
-    row_index = {}
-    columns = []
-    for w1 in basis:
+    rows = {}  # tensor word -> sparse row over the product-basis columns
+    for i, w1 in enumerate(basis):
         left = AlgElement(A.tensor, {w1: CommPoly.one(order)})
-        for w2 in basis:
-            img = left * A.coaction_word(w2)
-            col = {tw: _const(c) for tw, c in img.terms.items()}
-            for tw in col:
-                row_index.setdefault(tw, len(row_index))
-            columns.append(col)
-    if len(row_index) > dim * dim:
+        for j, w2 in enumerate(basis):
+            for tw, c in (left * A.coaction_word(w2)).terms.items():
+                rows.setdefault(tw, {})[i * dim + j] = _const(c)
+    if len(rows) > dim * dim:
         raise RuntimeError("tensor basis larger than expected")
-    zero = CyclotomicNumber.zero(order)
-    rows = [[zero] * (dim * dim) for _ in range(dim * dim)]
-    for j, col in enumerate(columns):
-        for tw, val in col.items():
-            rows[row_index[tw]][j] = val
-    return rank(rows) == dim * dim
+    return rank(list(rows.values())) == dim * dim
 
 
 @dataclass(frozen=True)

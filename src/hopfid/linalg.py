@@ -1,39 +1,46 @@
-"""Exact Gaussian elimination over a cyclotomic field.
+"""Exact sparse Gaussian elimination over a cyclotomic field.
 
-Matrices are lists of rows of CyclotomicNumber.  Everything is dense and
-exact; the sizes that show up here (a few thousand entries) make fraction-free
-tricks unnecessary.
+A row is a {column: nonzero CyclotomicNumber} dict, so elimination touches
+only the nonzero entries (Markowitz, 1957); the matrices of the Galois map
+have a few entries per column out of thousands.  rank and kernel_basis also
+take dense rows (lists), through sparse_row.  Arithmetic stays exact.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import CyclotomicNumber
 
-__all__ = ["row_reduce", "rank", "kernel_basis"]
+__all__ = ["sparse_row", "row_reduce", "rank", "kernel_basis"]
+
+
+def sparse_row(row) -> dict:
+    """A dense row (list) or a dict row as {column: entry}, zeros dropped."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: v for c, v in items if not v.is_zero()}
 
 
 def row_reduce(rows):
-    """Reduced row echelon form in place; returns the list of pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+    """Reduced row echelon form of sparse rows in place; returns the pivot
+    columns in increasing order.  The form is unique, whatever the row order."""
     pivots = []
     r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
+    for col in sorted({c for row in rows for c in row}):
+        pivot = next((i for i in range(r, len(rows)) if col in rows[i]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][col].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r] = {c: v * inv for c, v in rows[r].items()}
+        for i, row in enumerate(rows):
+            if i == r or col not in row:
+                continue
+            f = row[col]
+            for c, b in prow.items():
+                v = row[c] - f * b if c in row else -(f * b)
+                if v.is_zero():
+                    del row[c]
+                else:
+                    row[c] = v
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -42,13 +49,13 @@ def row_reduce(rows):
 
 
 def rank(rows) -> int:
-    work = [list(row) for row in rows]
-    return len(row_reduce(work))
+    return len(row_reduce([sparse_row(row) for row in rows]))
 
 
 def kernel_basis(rows, ncols, order):
-    """A basis of the right kernel of the matrix, one vector per free column."""
-    work = [list(row) for row in rows]
+    """A basis of the right kernel of the matrix, one dense vector per free
+    column."""
+    work = [sparse_row(row) for row in rows]
     pivots = row_reduce(work)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -59,6 +66,7 @@ def kernel_basis(rows, ncols, order):
         vec = [zero] * ncols
         vec[fc] = one
         for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
+            if fc in work[r]:
+                vec[pc] = -work[r][fc]
         basis.append(vec)
     return basis

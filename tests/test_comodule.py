@@ -177,9 +177,21 @@ def test_galois_map_bijective():
     for spec in (
         taft_object_spec(2, a=1, c=0),
         taft_object_spec(3, a=1, c=1),
+        taft_object_spec(4, a=1, c=1),
         en_object_spec(2, a=1, c=[1, 1], d={(1, 2): 0}),
+        en_object_spec(3, a=1, c=[1, -1, 1], d={(1, 2): 1, (1, 3): -1, (2, 3): 1}),
     ):
         assert galois_map_bijective(galois_object(spec))
+
+
+def test_corrupted_coaction_is_not_galois():
+    # send y to y (x) x, dropping the 1 (x) y term: then xy is coinvariant
+    # next to 1, and beta misses every tensor with a y on the Hopf side
+    A = ComoduleAlgebra(taft_object_spec(2, a=1, c=0))
+    images = (A.coaction_word((0,)), A.tensor.element({(1, 2): 1}))
+    A.coaction_map = Morphism(A.algebra, A.tensor, images.__getitem__)
+    assert galois_map_bijective(A) is False
+    assert len(coinvariants(A)) == 2
 
 
 def test_galois_object_cache():
