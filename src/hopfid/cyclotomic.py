@@ -2,14 +2,17 @@
 
 Every coefficient in this package lives in Q(zeta_n) for a session-fixed order n.
 Elements are residue polynomials in zeta reduced modulo the n-th cyclotomic
-polynomial, with Fraction coefficients.  All arithmetic is exact; there is no
-floating point anywhere.
+polynomial, stored as integer numerators over one positive common denominator
+(the layout of number-field libraries such as Antic's nf_elem).  Products fold
+powers of zeta back with a cached integer table of zeta^k mod Phi_n.  All
+arithmetic is exact: coefficients are ints or Fractions, and floats are refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 __all__ = [
     "Rational",
@@ -77,69 +80,91 @@ def field_degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduced(order, coeffs):
-    """Reduce an arbitrary-length coefficient list modulo Phi_order."""
+def _integral(coeffs):
+    """Int numerators over the least common denominator of int and Fraction
+    coefficients; any other coefficient (a float, a str) is refused."""
+    coeffs = list(coeffs)
+    for c in coeffs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cyclotomic coefficients must be int or Fraction, got {c!r}")
+    den = lcm(1, *(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(order):
+    """zeta^k mod Phi_order for k = 0 .. order - 1, each as its nonzero (index, int) pairs."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    work = [Fraction(c) for c in coeffs]
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
+    rows, cur = [], [1] + [0] * (deg - 1)
+    for _ in range(order):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        top, cur = cur[-1], [0] + cur[:-1]
+        for j in range(deg):
+            cur[j] -= top * phi[j]
+    return tuple(rows)
+
+
+def _fold(order, num):
+    """Integer coefficients of any length reduced modulo Phi_order (zeta^order = 1)."""
+    deg = field_degree(order)
+    out = list(num[:deg]) + [0] * (deg - len(num))
+    table = _zeta_powers(order)
+    for k in range(deg, len(num)):
+        c = num[k]
         if c:
-            work[i] = Fraction(0)
-            for j in range(deg):
-                work[i - deg + j] -= c * phi[j]
-    work = work[:deg]
-    work.extend([Fraction(0)] * (deg - len(work)))
-    return tuple(work)
+            for j, t in table[k % order]:
+                out[j] += c * t
+    return out
 
 
-def _frac_poly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _frac_poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = 1 / b[-1]
-    quot = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv_lead
-        if c:
-            quot[i - db] = c
-            for j in range(len(b)):
-                a[i - db + j] -= c * b[j]
-    return quot, _frac_poly_trim(a[:db])
+def _canonical(order, num, den):
+    """The CyclotomicNumber sum(num[k] * zeta**k) / den, with the content cancelled."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    x = object.__new__(CyclotomicNumber)
+    x.order, x.num, x.den = order, tuple(num), den
+    return x
 
 
 class CyclotomicNumber:
     """An exact element of Q(zeta_order).
 
-    coeffs is a tuple of Fractions of length field_degree(order); the value is
-    sum(coeffs[k] * zeta**k).  Instances are immutable in use and hashable.
-    Mixing orders in arithmetic is an error; promote explicitly instead.
+    The value is sum(num[k] * zeta**k) / den: num is a tuple of ints of length
+    field_degree(order) and den a positive int, kept canonical with
+    gcd(den, *num) == 1, so equal values have equal (order, num, den).
+    coeffs is the read-only view of the same value as a tuple of Fractions.
+    Instances are immutable in use and hashable.  Mixing orders in arithmetic
+    is an error; promote explicitly instead.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order, coeffs):
-        self.order = order
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(self.coeffs) != field_degree(order):
+        num, den = _integral(coeffs)
+        if len(num) != field_degree(order):
             raise ValueError(
                 f"need {field_degree(order)} coefficients for order {order}, "
-                f"got {len(self.coeffs)}"
+                f"got {len(num)}"
             )
+        # Fractions are reduced, so over their lcm the content is already 1
+        self.order, self.num, self.den = order, tuple(num), den
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @classmethod
     def from_poly(cls, order, coeffs):
-        return cls(order, _reduced(order, coeffs))
+        num, den = _integral(coeffs)
+        return _canonical(order, _fold(order, num), den)
 
     @classmethod
     def from_rational(cls, order, value):
-        deg = field_degree(order)
-        return cls(order, (Fraction(value),) + (Fraction(0),) * (deg - 1))
+        num, den = _integral((value,))
+        return _canonical(order, num + [0] * (field_degree(order) - 1), den)
 
     @classmethod
     def zero(cls, order):
@@ -168,14 +193,17 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
+        a, b = self.den, o.den
+        if a == b:
+            return _canonical(self.order, [x + y for x, y in zip(self.num, o.num)], a)
+        return _canonical(
+            self.order, [x * b + y * a for x, y in zip(self.num, o.num)], a * b
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-a for a in self.coeffs))
+        return _canonical(self.order, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -193,42 +221,28 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = len(self.coeffs)
-        out = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return CyclotomicNumber.from_poly(self.order, out)
+        a, b = self.num, o.num
+        num = (a[0] * b[0],) if len(a) == 1 else _fold(self.order, _int_poly_mul(a, b))
+        return _canonical(self.order, num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi."""
+        """Multiplicative inverse: den times the other Galois conjugates of num, over their norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, _frac_poly_trim(list(self.coeffs))
-        t0, t1 = [], [Fraction(1)]
-        while r1:
-            q, r = _frac_poly_divmod(r0, r1)
-            prod = [Fraction(0)] * (len(q) + len(t1) - 1) if q and t1 else []
-            for i, a in enumerate(q):
-                for j, b in enumerate(t1):
-                    prod[i + j] += a * b
-            new_t = [Fraction(0)] * max(len(t0), len(prod))
-            for i, a in enumerate(t0):
-                new_t[i] += a
-            for i, a in enumerate(prod):
-                new_t[i] -= a
-            t0, t1 = t1, _frac_poly_trim(new_t)
-            r0, r1 = r1, r
-        # r0 is a nonzero constant: Phi is irreducible over Q
-        lead = r0[0]
-        return CyclotomicNumber.from_poly(
-            self.order, [c / lead for c in t0]
-        )
+        n, num = self.order, self.num
+        conj = [1]
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                image = [0] * n
+                for j, c in enumerate(num):
+                    image[j * k % n] += c
+                conj = _fold(n, _int_poly_mul(conj, _fold(n, image)))
+        # num * conj is the norm of num: a nonzero integer
+        norm = _fold(n, _int_poly_mul(num, conj))[0]
+        sign = self.den if norm > 0 else -self.den
+        return _canonical(n, [sign * c for c in conj], abs(norm))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -257,28 +271,28 @@ class CyclotomicNumber:
         return result
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self):
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CyclotomicNumber.from_rational(self.order, other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self.num, self.den) == (other.order, other.num, other.den)
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def __str__(self):
         parts = []

@@ -74,6 +74,10 @@ _OPS = set("+-*/^()[],';")
 # interpreter stack of a parenthesis
 MAX_NESTING = 100
 
+# a constant scalar power is refused once a numerator or the denominator of a
+# repeated square or partial product passes this many bits
+MAX_SCALAR_BITS = 4096
+
 
 def _tokenize(text):
     toks = []
@@ -264,20 +268,38 @@ class _Parser:
         while self.peek()[0] == "^":
             op = self.next()
             k = self.exponent()
-            if k < 0:
+            if base[0] == "scalar" and base[1].is_constant():
+                value = base[1].constant_value()
+                if k < 0 and value.is_zero():
+                    self.fail("negative power of zero", op)
+                base = self._scalar(CommPoly.constant(self._scalar_power(value, k, op)))
+            elif k < 0:
                 if base[0] != "scalar":
                     self.fail("negative powers are defined for scalars only", op)
-                poly = base[1]
-                if not poly.is_constant():
-                    self.fail("negative powers need a constant scalar", op)
-                value = poly.constant_value()
-                if value.is_zero():
-                    self.fail("negative power of zero", op)
-                base = self._scalar(CommPoly.constant(value ** k))
+                self.fail("negative powers need a constant scalar", op)
             else:
                 self._guard(self._degree(base) * k, op)
                 base = (base[0], base[1] ** k)
         return base
+
+    def _scalar_power(self, value, k, op):
+        """value ** k by repeated squaring, refused as soon as a square or a
+        partial product has a numerator or denominator past MAX_SCALAR_BITS."""
+        if k < 0:
+            value, k = value.inverse(), -k
+        result = CyclotomicNumber.one(value.order)
+        while k:
+            if k & 1:
+                result = self._bounded(result * value, op)
+            k >>= 1
+            if k:
+                value = self._bounded(value * value, op)
+        return result
+
+    def _bounded(self, value, op):
+        if max(abs(c).bit_length() for c in value.num + (value.den,)) > MAX_SCALAR_BITS:
+            self.fail(f"scalar power exceeds {MAX_SCALAR_BITS} bits", op)
+        return value
 
     def exponent(self):
         tok = self.peek()

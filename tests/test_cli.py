@@ -12,6 +12,7 @@ import pytest
 
 import hopfid
 from hopfid.cli import main
+from hopfid.exprparse import MAX_SCALAR_BITS
 
 
 def run(capsys, *argv):
@@ -338,3 +339,25 @@ def test_json_input_echo(capsys):
         "object": "taft:2;a=1;c=0",
     }
     assert payload["result"]["zero"] is False
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["2^100000000*X", "(1/3)^-100000000*X", "(2^4000)^2*X", "(2+z)^100000*X"],
+    ids=["int", "negative-fraction", "nested", "cyclotomic"],
+)
+def test_scalar_power_bound_exits_2(capsys, expression):
+    code, out, err = run(capsys, "mu", "--object", "taft:3;a=1;c=0", "--", expression)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: scalar power exceeds {MAX_SCALAR_BITS} bits")
+    assert "Traceback" not in err
+
+
+def test_root_of_unity_powers_are_not_bounded(capsys):
+    code, out, _ = run(capsys, "mu", "--object", "taft:3;a=1;c=0", "q^1000000000*X")
+    assert code == 0
+    assert out == "mu image in A(taft:3;a=1;c=0): (z)*t[1,x]*x\n"
+    code, out, _ = run(capsys, "mu", "--object", "taft:3;a=1;c=0", "q^-1000000000*X")
+    assert code == 0
+    assert out == "mu image in A(taft:3;a=1;c=0): (-1 - z)*t[1,x]*x\n"
