@@ -30,9 +30,9 @@ from .comodule import (
     check_comodule,
     galois_object,
 )
+from .cyclotomic import join_signed
 from .exprparse import (
     MatrixSpec,
-    ParseError,
     parse_expression,
     parse_hopf_spec,
     parse_object_spec,
@@ -148,11 +148,10 @@ def _matrix_witness(m, assignment, value) -> str:
     def unit(ij):
         return f"e[{ij[0] + 1},{ij[1] + 1}]"
 
-    rhs = ""
-    for ij, c in value.items():
-        body = unit(ij) if abs(c) == 1 else f"{abs(c)}*{unit(ij)}"
-        sign = "-" if c < 0 else ""
-        rhs = f"{rhs} {sign or '+'} {body}" if rhs else f"{sign}{body}"
+    rhs = join_signed([
+        ("-" if c < 0 else "") + (unit(ij) if abs(c) == 1 else f"{abs(c)}*{unit(ij)}")
+        for ij, c in value.items()
+    ])
     args = ", ".join(unit(ij) for ij in assignment)
     return f"s_{m}({args}) = {rhs}"
 
@@ -196,7 +195,6 @@ def _cmd_verify(args, timings):
             f"identity {name!r} is not in the catalog of {A.hopf.name}"
         )
     start = time.perf_counter()
-    shown = name
     if resolved is None:
         poly = parse_expression(name, A.hopf, args.max_degree)
         witness = mu(poly, A)
@@ -222,11 +220,11 @@ def _cmd_verify(args, timings):
         "verified": holds,
     }
     if holds:
-        lines = [f"{shown}: identity verified{_symbolic_note(A)}"]
+        lines = [f"{name}: identity verified{_symbolic_note(A)}"]
     else:
         result["witness"] = str(witness)
         lines = [
-            f"{shown}: not an identity for {A.name}",
+            f"{name}: not an identity for {A.name}",
             f"witness mu-image: {witness}",
         ]
     return result, lines, 0 if holds else 1
@@ -460,11 +458,12 @@ def main(argv=None) -> int:
     timings = {}
     try:
         result, lines, code = args.handler(args, timings)
-    except (ParseError, _Usage) as exc:
+    except ValueError as exc:  # ParseError and _Usage included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # a fault of the program, not of the input; exit 1 would read as a verdict
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
         payload = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, join_signed, power
 
 __all__ = ["ParamVar", "TVar", "CommPoly"]
 
@@ -150,17 +150,14 @@ class CommPoly:
                 )
             return other
         if isinstance(other, CyclotomicNumber):
-            return CommPoly.constant(self._coerce_scalar(other))
+            if other.order != self.order:
+                raise ValueError(
+                    f"mixed cyclotomic orders {self.order} and {other.order}"
+                )
+            return CommPoly.constant(other)
         if isinstance(other, (int, Fraction)):
             return CommPoly.scalar(self.order, other)
         return None
-
-    def _coerce_scalar(self, value: CyclotomicNumber):
-        if value.order != self.order:
-            raise ValueError(
-                f"mixed cyclotomic orders {self.order} and {value.order}"
-            )
-        return value
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -211,14 +208,7 @@ class CommPoly:
             return NotImplemented
         if k < 0:
             raise ValueError("polynomials only take nonnegative powers")
-        result = CommPoly.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, CommPoly.one(self.order))
 
     def specialize(self, assignment) -> CommPoly:
         """Substitute parameter variables; keys must be ParamVar instances.
@@ -291,8 +281,6 @@ class CommPoly:
         return hash((self.order, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         rendered = []
         for m, c in self.sorted_terms():
             mono = _mono_render(m)
@@ -307,13 +295,7 @@ class CommPoly:
             else:
                 body = f"({c})*{mono}"
             rendered.append(body)
-        out = rendered[0]
-        for p in rendered[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return join_signed(rendered)
 
     def __repr__(self):
         return f"CommPoly({self})"

@@ -213,10 +213,6 @@ def _require_numeric(A: ComoduleAlgebra, what: str):
         )
 
 
-def _const(c: CommPoly) -> CyclotomicNumber:
-    return c.constant_value()
-
-
 def coinvariants(A: ComoduleAlgebra):
     """A basis of the coinvariant subalgebra, by exact linear algebra.
 
@@ -228,7 +224,7 @@ def coinvariants(A: ComoduleAlgebra):
     basis = A.algebra.basis()
     rows = {}  # tensor word -> sparse row over the basis columns
     for j, w in enumerate(basis):
-        col = {tw: _const(c) for tw, c in A.coaction_word(w).terms.items()}
+        col = {tw: c.constant_value() for tw, c in A.coaction_word(w).terms.items()}
         # subtract w tensor 1 (the object word embeds with unchanged indices);
         # a zero entry left here is dropped by kernel_basis
         col[w] = col.get(w, CyclotomicNumber.zero(order)) - CyclotomicNumber.one(order)
@@ -261,7 +257,7 @@ def galois_map_bijective(A: ComoduleAlgebra) -> bool:
         left = AlgElement(A.tensor, {w1: CommPoly.one(order)})
         for j, w2 in enumerate(basis):
             for tw, c in (left * A.coaction_word(w2)).terms.items():
-                rows.setdefault(tw, {})[i * dim + j] = _const(c)
+                rows.setdefault(tw, {})[i * dim + j] = c.constant_value()
     if len(rows) > dim * dim:
         raise RuntimeError("tensor basis larger than expected")
     return rank(list(rows.values())) == dim * dim

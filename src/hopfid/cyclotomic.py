@@ -19,6 +19,8 @@ __all__ = [
     "CyclotomicNumber",
     "cyclotomic_polynomial",
     "field_degree",
+    "join_signed",
+    "power",
     "primitive_root",
 ]
 
@@ -78,6 +80,37 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 def field_degree(n: int) -> int:
     """Degree of Q(zeta_n) over Q (Euler's totient of n)."""
     return len(cyclotomic_polynomial(n)) - 1
+
+
+def power(base, k, one, check=None):
+    """base ** k for k >= 0 by repeated squaring, starting from one.
+
+    One product per set bit of k and one squaring between bits, none after
+    the top bit.  check, if given, sees each square and each partial product
+    and may raise to refuse the power.
+    """
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+            if check:
+                check(result)
+        k >>= 1
+        if k:
+            base = base * base
+            if check:
+                check(base)
+    return result
+
+
+def join_signed(parts):
+    """Join rendered terms with " + ", or " - " in place of a leading minus; "0" if none."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 def _integral(coeffs):
@@ -261,14 +294,7 @@ class CyclotomicNumber:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = CyclotomicNumber.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, CyclotomicNumber.one(self.order))
 
     def is_zero(self):
         return not any(self.num)
@@ -310,15 +336,7 @@ class CyclotomicNumber:
                 else:
                     body = f"{c}*{zp}"
             parts.append(body)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return join_signed(parts)
 
     def __repr__(self):
         return f"CyclotomicNumber(order={self.order}, {self})"

@@ -6,17 +6,19 @@ come from the algebra itself.  A free context produces a FreeComodulePoly
 over a Hopf algebra; the symbols are X[i,h] with the shorthand aliases E, X,
 Y and Yi, plus coefficient variables t[i,h] and the structure parameters.
 
-The literal q always means the primitive root of unity of the active context
-and z the standard generator zeta of its cyclotomic field.  Division and
-negative powers apply to invertible scalars only.  The parser is recursive
-descent, so input nested deeper than MAX_NESTING levels is refused with a
-ParseError instead of exhausting the interpreter stack.
+The parser only reads tokens.  Its values are the algebras' own, a CommPoly
+for a scalar and the AlgElement or FreeComodulePoly otherwise, so sums,
+products and the lifting of scalars are those of the value types.  The
+literal q always means the primitive root of unity of the active context and
+z the standard generator zeta of its cyclotomic field.  Division and negative
+powers apply to invertible scalars only.  Input past the bounds below
+(nesting depth, copy index, scalar bits, degree) is refused with a
+ParseError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .commpoly import CommPoly, ParamVar
 from .comodule import (
@@ -25,7 +27,7 @@ from .comodule import (
     en_object_spec,
     taft_object_spec,
 )
-from .cyclotomic import CyclotomicNumber, primitive_root
+from .cyclotomic import CyclotomicNumber, power, primitive_root
 from .hopf import HopfPresentation, en, taft
 from .identities import FreeComodulePoly, free_algebra, t_var, x_symbol
 from .ncalg import AlgElement, PresentedAlgebra
@@ -74,6 +76,14 @@ _OPS = set("+-*/^()[],';")
 # interpreter stack of a parenthesis
 MAX_NESTING = 100
 
+# copy indices i of X[i,h] and t[i,h]; each copy adds dim H generators to the
+# free algebra that mu walks
+MAX_COPIES = 100
+
+# the degree bound of products and powers in a free context when the caller
+# sets none: free words never reduce, so X^99999999 would be built in full
+DEFAULT_FREE_DEGREE = 256
+
 # a constant scalar power is refused once a numerator or the denominator of a
 # repeated square or partial product passes this many bits
 MAX_SCALAR_BITS = 4096
@@ -110,10 +120,6 @@ def _tokenize(text):
     return toks
 
 
-# parse results are tagged values: ("scalar", CommPoly),
-# ("elem", AlgElement), or ("free", FreeComodulePoly)
-
-
 @dataclass
 class _Context:
     mode: str  # "elem" or "free"
@@ -124,6 +130,9 @@ class _Context:
 
 
 class _Parser:
+    """Recursive descent over one token list.  A CommPoly operand defers to an
+    element's reflected operator, which lifts it into the element's algebra."""
+
     def __init__(self, text, ctx: _Context):
         self.text = text
         self.toks = _tokenize(text)
@@ -133,9 +142,8 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead=0):
-        k = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[k]
+    def peek(self):
+        return self.toks[self.i]
 
     def next(self):
         tok = self.toks[self.i]
@@ -169,37 +177,20 @@ class _Parser:
 
     # -- value helpers
 
-    def _scalar(self, poly):
-        return ("scalar", poly)
-
-    def _degree(self, val):
-        kind, v = val
-        if kind == "scalar":
-            return 0
-        return v.degree()
-
     def _guard(self, degree, tok):
-        limit = self.ctx.max_degree
+        limit, note = self.ctx.max_degree, ""
+        if limit is None and self.ctx.mode == "free":
+            limit, note = DEFAULT_FREE_DEGREE, " (the default for free expressions)"
         if limit is not None and degree > limit:
-            raise ParseError(
-                f"expansion guard: degree {degree} exceeds --max-degree {limit}",
-                tok[2],
-                self.text,
-            )
+            self.fail(f"expansion guard: degree {degree} exceeds --max-degree {limit}{note}", tok)
 
-    def _promote(self, val):
-        """Lift a scalar into the ambient algebra of the context."""
-        kind, v = val
-        if kind != "scalar":
+    def promote(self, val):
+        """Lift a bare scalar into the ambient algebra of the context."""
+        if not isinstance(val, CommPoly):
             return val
         if self.ctx.mode == "elem":
-            return ("elem", self.ctx.algebra.one() * v)
-        return ("free", FreeComodulePoly.scalar(self.ctx.hopf, v))
-
-    def _pair(self, a, b):
-        if a[0] == "scalar" and b[0] == "scalar":
-            return a, b
-        return self._promote(a), self._promote(b)
+            return self.ctx.algebra.one() * val
+        return FreeComodulePoly.scalar(self.ctx.hopf, val)
 
     # -- grammar
 
@@ -215,11 +206,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.next()
             right = self.term()
-            a, b = self._pair(left, right)
-            if op[0] == "+":
-                left = (a[0], a[1] + b[1])
-            else:
-                left = (a[0], a[1] - b[1])
+            left = left + right if op[0] == "+" else left - right
         return left
 
     def term(self):
@@ -228,36 +215,28 @@ class _Parser:
             op = self.next()
             right = self.unary()
             if op[0] == "/":
-                left = self._divide(left, right, op)
+                left = left * self._inverse(right, op)
                 continue
-            if left[0] == "scalar" and right[0] != "scalar":
-                left = (right[0], right[1] * left[1])
-            elif right[0] == "scalar":
-                left = (left[0], left[1] * right[1])
-            else:
-                a, b = self._pair(left, right)
-                self._guard(self._degree(a) + self._degree(b), op)
-                left = (a[0], a[1] * b[1])
+            if not isinstance(left, CommPoly) and not isinstance(right, CommPoly):
+                self._guard(left.degree() + right.degree(), op)
+            left = left * right
         return left
 
-    def _divide(self, left, right, op):
-        if right[0] != "scalar":
+    def _inverse(self, val, op):
+        if not isinstance(val, CommPoly):
             self.fail("division is defined for scalars only", op)
-        poly = right[1]
-        if not poly.is_constant():
+        if not val.is_constant():
             self.fail("division needs a constant scalar", op)
-        value = poly.constant_value()
+        value = val.constant_value()
         if value.is_zero():
             self.fail("division by zero", op)
-        inv = CommPoly.constant(value.inverse())
-        return (left[0], left[1] * inv)
+        return CommPoly.constant(value.inverse())
 
     def unary(self):
         tok = self.peek()
         if tok[0] == "-":
             self.next()
-            kind, v = self.nested(self.unary, tok)
-            return (kind, -v)
+            return -self.nested(self.unary, tok)
         if tok[0] == "+":
             self.next()
             return self.nested(self.unary, tok)
@@ -268,38 +247,32 @@ class _Parser:
         while self.peek()[0] == "^":
             op = self.next()
             k = self.exponent()
-            if base[0] == "scalar" and base[1].is_constant():
-                value = base[1].constant_value()
+            scalar = isinstance(base, CommPoly)
+            if scalar and base.is_constant():
+                value = base.constant_value()
                 if k < 0 and value.is_zero():
                     self.fail("negative power of zero", op)
-                base = self._scalar(CommPoly.constant(self._scalar_power(value, k, op)))
+                base = CommPoly.constant(self._scalar_power(value, k, op))
             elif k < 0:
-                if base[0] != "scalar":
+                if not scalar:
                     self.fail("negative powers are defined for scalars only", op)
                 self.fail("negative powers need a constant scalar", op)
             else:
-                self._guard(self._degree(base) * k, op)
-                base = (base[0], base[1] ** k)
+                self._guard(0 if scalar else base.degree() * k, op)
+                base = base**k
         return base
 
     def _scalar_power(self, value, k, op):
-        """value ** k by repeated squaring, refused as soon as a square or a
-        partial product has a numerator or denominator past MAX_SCALAR_BITS."""
+        """value ** k, refused as soon as a square or a partial product has a
+        numerator or denominator past MAX_SCALAR_BITS."""
+
+        def bounded(v):
+            if max(abs(c).bit_length() for c in v.num + (v.den,)) > MAX_SCALAR_BITS:
+                self.fail(f"scalar power exceeds {MAX_SCALAR_BITS} bits", op)
+
         if k < 0:
             value, k = value.inverse(), -k
-        result = CyclotomicNumber.one(value.order)
-        while k:
-            if k & 1:
-                result = self._bounded(result * value, op)
-            k >>= 1
-            if k:
-                value = self._bounded(value * value, op)
-        return result
-
-    def _bounded(self, value, op):
-        if max(abs(c).bit_length() for c in value.num + (value.den,)) > MAX_SCALAR_BITS:
-            self.fail(f"scalar power exceeds {MAX_SCALAR_BITS} bits", op)
-        return value
+        return power(value, k, CyclotomicNumber.one(value.order), bounded)
 
     def exponent(self):
         tok = self.peek()
@@ -318,7 +291,7 @@ class _Parser:
     def atom(self):
         tok = self.next()
         if tok[0] == "INT":
-            return self._scalar(CommPoly.scalar(self.ctx.order, int(tok[1])))
+            return CommPoly.scalar(self.ctx.order, int(tok[1]))
         if tok[0] == "(":
             val = self.nested(self.expr, tok)
             self.expect(")")
@@ -334,13 +307,9 @@ class _Parser:
     def name_atom(self, tok):
         name = tok[1]
         if name == "q":
-            return self._scalar(
-                CommPoly.constant(primitive_root(self.ctx.order))
-            )
+            return CommPoly.constant(primitive_root(self.ctx.order))
         if name == "z":
-            return self._scalar(
-                CommPoly.constant(CyclotomicNumber.zeta(self.ctx.order))
-            )
+            return CommPoly.constant(CyclotomicNumber.zeta(self.ctx.order))
         if name == "t" and self.peek()[0] == "[":
             if self.ctx.mode == "free":
                 self.fail(
@@ -353,22 +322,16 @@ class _Parser:
                     "t variables need a Hopf context to resolve their labels",
                     tok,
                 )
-            copy, h = self.bracket_pair(tok, want_copy=True)
+            copy, h = self.bracket_pair(tok)
             if len(h.terms) != 1 or next(iter(h.terms.values())) != 1:
                 self.fail("t[i,h] needs a single basis word with coefficient 1", tok)
-            return self._scalar(t_var(self.ctx.hopf, copy, h))
+            return t_var(self.ctx.hopf, copy, h)
         if self.ctx.mode == "free":
             val = self.free_name(tok)
             if val is not None:
                 return val
-        elif self.ctx.algebra is not None:
-            alg = self.ctx.algebra
-            try:
-                gid = alg.gen_index(name)
-            except ValueError:
-                gid = None
-            if gid is not None:
-                return ("elem", alg.gen(name))
+        elif self.ctx.algebra is not None and name in self.ctx.algebra.generators:
+            return self.ctx.algebra.gen(name)
         val = self.param_name(tok)
         if val is not None:
             return val
@@ -388,15 +351,14 @@ class _Parser:
         hopf = self.ctx.hopf
         alg = hopf.algebra
         if name == "X" and self.peek()[0] == "[":
-            copy, h = self.bracket_pair(tok, want_copy=True)
-            return ("free", x_symbol(copy, h))
+            return x_symbol(*self.bracket_pair(tok))
         if name == "E":
-            return ("free", x_symbol(1, alg.one()))
+            return x_symbol(1, alg.one())
         if name == "X":
-            return ("free", x_symbol(1, alg.gen("x")))
+            return x_symbol(1, alg.gen("x"))
         if name == "Y":
             try:
-                return ("free", x_symbol(1, alg.gen("y")))
+                return x_symbol(1, alg.gen("y"))
             except ValueError:
                 self.fail(
                     "this family indexes its nilpotent generators; use Y1, Y2, ..",
@@ -404,18 +366,20 @@ class _Parser:
                 )
         if name.startswith("Y") and name[1:].isdigit():
             try:
-                return ("free", x_symbol(1, alg.gen("y" + name[1:])))
+                return x_symbol(1, alg.gen("y" + name[1:]))
             except ValueError:
                 self.fail(f"no generator y{name[1:]} in {hopf.name}", tok)
         return None
 
-    def bracket_pair(self, tok, want_copy):
+    def bracket_pair(self, tok):
         """Parse the [i, h] trailer of a free symbol or coefficient."""
         self.expect("[")
         itok = self.expect("INT")
         copy = int(itok[1])
-        if want_copy and copy < 1:
+        if copy < 1:
             self.fail("copy indices start at 1", itok)
+        if copy > MAX_COPIES:
+            self.fail(f"copy index {copy} exceeds the bound {MAX_COPIES}", itok)
         self.expect(",")
         h = self.element_subexpr()
         self.expect("]")
@@ -423,22 +387,12 @@ class _Parser:
 
     def element_subexpr(self) -> AlgElement:
         """Parse a Hopf algebra element inside brackets, in the same tokens."""
-        sub = _Parser.__new__(_Parser)
-        sub.text = self.text
-        sub.toks = self.toks
-        sub.i = self.i
-        sub.depth = self.depth
-        sub.ctx = _Context(
-            mode="elem",
-            order=self.ctx.order,
-            algebra=self.ctx.hopf.algebra,
-            hopf=self.ctx.hopf,
-            max_degree=self.ctx.max_degree,
-        )
-        val = sub.nested(sub.expr, self.peek(), levels=2)
-        self.i = sub.i
-        kind, v = sub._promote(val)
-        return v
+        outer = self.ctx
+        self.ctx = replace(outer, mode="elem", algebra=outer.hopf.algebra)
+        try:
+            return self.promote(self.nested(self.expr, self.peek(), levels=2))
+        finally:
+            self.ctx = outer
 
     def param_name(self, tok):
         name = tok[1]
@@ -472,7 +426,7 @@ class _Parser:
             var = ParamVar(tag, indices, prime)
         except ValueError as exc:
             self.fail(str(exc), tok)
-        return self._scalar(CommPoly.variable(self.ctx.order, var))
+        return CommPoly.variable(self.ctx.order, var)
 
 
 def parse_expression(text, context, max_degree=None):
@@ -480,7 +434,9 @@ def parse_expression(text, context, max_degree=None):
 
     A HopfPresentation context yields a FreeComodulePoly over it; a
     PresentedAlgebra context yields an AlgElement of that algebra (with q and
-    z referring to its cyclotomic order).
+    z referring to its cyclotomic order).  max_degree bounds the degree of
+    every product and power; in a free context it defaults to
+    DEFAULT_FREE_DEGREE, since free words do not reduce.
     """
     if isinstance(context, HopfPresentation):
         ctx = _Context(
@@ -502,8 +458,7 @@ def parse_expression(text, context, max_degree=None):
     else:
         raise TypeError(f"cannot parse against context {context!r}")
     parser = _Parser(text, ctx)
-    val = parser.parse()
-    return parser._promote(val)[1]
+    return parser.promote(parser.parse())
 
 
 # -- algebra and object specs ---------------------------------------------------
@@ -574,9 +529,8 @@ def _parse_value(text, order, key):
     if primes:
         raise ParseError(f"primes apply to sym values only in {key}={text}")
     ctx = _Context(mode="elem", order=order, algebra=None, hopf=None)
-    parser = _Parser(body, ctx)
-    kind, val = parser.parse()
-    if kind != "scalar" or not val.is_constant():
+    val = _Parser(body, ctx).parse()
+    if not isinstance(val, CommPoly) or not val.is_constant():
         raise ParseError(f"the value of {key} must be a constant scalar")
     return val.constant_value()
 

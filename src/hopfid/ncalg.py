@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .commpoly import CommPoly
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, join_signed, power
 
 __all__ = [
     "RewriteRule",
@@ -175,13 +175,6 @@ class PresentedAlgebra:
         self._nf_cache[word] = result
         return result
 
-    def normal_form(self, value) -> AlgElement:
-        if isinstance(value, AlgElement):
-            if value.algebra is not self:
-                raise ValueError("element belongs to a different algebra")
-            return value
-        return self.normal_form_word(value)
-
     # -- basis enumeration ---------------------------------------------------
 
     def basis(self, limit: int = 100000):
@@ -337,14 +330,7 @@ class AlgElement:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        result = self.algebra.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, self.algebra.one())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -375,8 +361,6 @@ class AlgElement:
         return NotImplemented
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         rendered = []
         for w, c in self.sorted_terms():
             word = self.algebra.render_word(w)
@@ -396,13 +380,7 @@ class AlgElement:
             else:
                 body = f"({c})*{word}"
             rendered.append(body)
-        out = rendered[0]
-        for p in rendered[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return join_signed(rendered)
 
     def __repr__(self):
         return f"AlgElement({self.algebra.name}: {self})"
@@ -565,7 +543,7 @@ class ConfluenceReport:
         return "\n".join(lines)
 
 
-def _one_step(alg, word, pos, rule):
+def _one_step(word, pos, rule):
     tail = pos + len(rule.lhs)
     return [(word[:pos] + rw + word[tail:], rc) for rw, rc in rule.rhs]
 
@@ -582,7 +560,7 @@ def check_confluence(alg: PresentedAlgebra) -> ConfluenceReport:
         nf = []
         for pos, rule in (apply1, apply2):
             acc = alg.zero()
-            for w, c in _one_step(alg, word, pos, rule):
+            for w, c in _one_step(word, pos, rule):
                 acc = acc + alg.normal_form_word(w) * c
             nf.append(acc)
         if nf[0] != nf[1]:

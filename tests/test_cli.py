@@ -7,10 +7,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import hopfid
+from hopfid import cli
 from hopfid.cli import main
 from hopfid.exprparse import MAX_SCALAR_BITS
 
@@ -361,3 +363,39 @@ def test_root_of_unity_powers_are_not_bounded(capsys):
     code, out, _ = run(capsys, "mu", "--object", "taft:3;a=1;c=0", "q^-1000000000*X")
     assert code == 0
     assert out == "mu image in A(taft:3;a=1;c=0): (-1 - z)*t[1,x]*x\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--object", "taft:2;a=1;c=0", "X^99999999"], "(the default for free expressions)"),
+        (["mu", "--object", "taft:2;a=1;c=0", "X[100000000,1]"], "exceeds the bound 100"),
+    ],
+    ids=["free-degree", "copy-index"],
+)
+def test_unbounded_free_inputs_exit_2_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 3  # message, echo, caret
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [RuntimeError("boom"), ZeroDivisionError("division by zero"),
+     RecursionError("maximum recursion depth exceeded")],
+    ids=lambda e: type(e).__name__,
+)
+def test_internal_error_exits_2_without_traceback(capsys, monkeypatch, exc):
+    def broken(args, timings):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_catalog", broken)
+    code, out, err = run(capsys, "catalog", "--hopf", "taft:2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"
+    assert "Traceback" not in err

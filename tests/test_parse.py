@@ -6,6 +6,8 @@ from hopfid.commpoly import CommPoly, ParamVar
 from hopfid.comodule import Symbolic, galois_object, taft_object_spec
 from hopfid.cyclotomic import CyclotomicNumber, primitive_root
 from hopfid.exprparse import (
+    DEFAULT_FREE_DEGREE,
+    MAX_COPIES,
     MAX_NESTING,
     MatrixSpec,
     ParseError,
@@ -14,7 +16,7 @@ from hopfid.exprparse import (
     parse_object_spec,
 )
 from hopfid.hopf import en, taft
-from hopfid.identities import FreeComodulePoly, mu, taft_identity, x_symbol
+from hopfid.identities import FreeComodulePoly, catalog, mu, taft_identity, x_symbol
 
 
 def test_scalar_arithmetic_and_precedence():
@@ -184,6 +186,63 @@ def test_expansion_guard():
         parse_expression("(X*Y)^5", taft(2), max_degree=4)
     # the guard sees reduced operands, so collapsing products stay cheap
     parse_expression("x^2*x^2", taft(2).algebra, max_degree=2)
+
+
+def test_scalars_mix_with_elements_on_either_side():
+    # a CommPoly operand defers to the element's reflected operator
+    H = taft(3)
+    alg = H.algebra
+    x = alg.gen("x")
+    c = CommPoly.variable(3, ParamVar("c"))
+    for text, want in (
+        ("2 + x", x + 2), ("2 - x", -x + 2), ("x - c", x - c),
+        ("(c + 1)*x - x*c", x), ("(2*x + 3)/3", x * CommPoly.constant(
+            CyclotomicNumber.from_rational(3, 2) / 3) + 1),
+    ):
+        assert parse_expression(text, alg) == want, text
+    X = x_symbol(1, x)
+    one = FreeComodulePoly.scalar(H, 1)
+    for text, want in (
+        ("1 - X", one - X), ("X + c", X + one * c), ("c*X - X*c", one * 0),
+        ("2", one * 2), ("X[1,2 - x]", x_symbol(1, alg.one() * 2 - x)),
+    ):
+        assert parse_expression(text, H) == want, text
+
+
+def test_free_context_default_degree_bound():
+    H = taft(2)
+    with pytest.raises(ParseError, match=r"degree 99999999 exceeds --max-degree 256 \(the default"):
+        parse_expression("X^99999999", H)
+    with pytest.raises(ParseError, match="the default"):
+        parse_expression("X^200 * X^57", H)
+    assert parse_expression(f"X^{DEFAULT_FREE_DEGREE}", H).degree() == DEFAULT_FREE_DEGREE
+    # a bound the caller sets wins, and names no default
+    assert parse_expression("X^300", H, max_degree=300).degree() == 300
+    with pytest.raises(ParseError) as err:
+        parse_expression("X^300", H, max_degree=299)
+    assert "default" not in str(err.value)
+    # element contexts reduce their words, so they keep no default, and
+    # neither do bracket sub-expressions
+    assert parse_expression("x^99999999", H.algebra) == H.algebra.gen("x")
+    assert parse_expression("X[1,x^99999999]", H) == parse_expression("X", H)
+
+
+def test_copy_index_bound():
+    H = taft(2)
+    assert parse_expression(f"X[{MAX_COPIES},1]", H).copies == MAX_COPIES
+    A = galois_object(taft_object_spec(2)).algebra
+    parse_expression(f"t[{MAX_COPIES},x]*x", A)
+    for text, ctx in (("X[100000000,1]", H), (f"X[{MAX_COPIES + 1},x]", H), ("t[101,x]", A)):
+        with pytest.raises(ParseError, match=f"exceeds the bound {MAX_COPIES}"):
+            parse_expression(text, ctx)
+
+
+@pytest.mark.parametrize("hopf", [taft(n) for n in range(2, 9)] + [en(n) for n in range(1, 5)],
+                         ids=lambda H: H.name)
+def test_catalog_identities_parse_back_under_the_default_bound(hopf):
+    for name, poly in catalog(hopf):
+        assert poly.degree() <= DEFAULT_FREE_DEGREE
+        assert parse_expression(str(poly), hopf) == poly, name
 
 
 def test_parse_errors_carry_position():
