@@ -84,9 +84,11 @@ MAX_COPIES = 100
 # sets none: free words never reduce, so X^99999999 would be built in full
 DEFAULT_FREE_DEGREE = 256
 
-# a constant scalar power is refused once a numerator or the denominator of a
-# repeated square or partial product passes this many bits
+# a power of a scalar or of an algebra-context element is refused once a square
+# or partial product has a coefficient with a numerator or denominator past
+# MAX_SCALAR_BITS bits, or with more than MAX_SCALAR_TERMS monomials
 MAX_SCALAR_BITS = 4096
+MAX_SCALAR_TERMS = 256
 
 
 def _tokenize(text):
@@ -177,11 +179,18 @@ class _Parser:
 
     # -- value helpers
 
-    def _guard(self, degree, tok):
+    def _guard(self, operands, k, tok):
+        """Refuse the k-th power of the product of operands past the degree limit.
+        A free polynomial's static bound is tried first, and the exact degree,
+        which expands it, only when that bound passes the limit."""
         limit, note = self.ctx.max_degree, ""
         if limit is None and self.ctx.mode == "free":
             limit, note = DEFAULT_FREE_DEGREE, " (the default for free expressions)"
-        if limit is not None and degree > limit:
+        bounds = (v.degree() if isinstance(v, AlgElement) else v.degree_bound for v in operands)
+        if limit is None or k * sum(bounds) <= limit:
+            return
+        degree = k * sum(v.degree() for v in operands)
+        if degree > limit:
             self.fail(f"expansion guard: degree {degree} exceeds --max-degree {limit}{note}", tok)
 
     def promote(self, val):
@@ -218,7 +227,7 @@ class _Parser:
                 left = left * self._inverse(right, op)
                 continue
             if not isinstance(left, CommPoly) and not isinstance(right, CommPoly):
-                self._guard(left.degree() + right.degree(), op)
+                self._guard((left, right), 1, op)
             left = left * right
         return left
 
@@ -248,31 +257,37 @@ class _Parser:
             op = self.next()
             k = self.exponent()
             scalar = isinstance(base, CommPoly)
-            if scalar and base.is_constant():
-                value = base.constant_value()
-                if k < 0 and value.is_zero():
-                    self.fail("negative power of zero", op)
-                base = CommPoly.constant(self._scalar_power(value, k, op))
-            elif k < 0:
+            if k < 0:
                 if not scalar:
                     self.fail("negative powers are defined for scalars only", op)
-                self.fail("negative powers need a constant scalar", op)
-            else:
-                self._guard(0 if scalar else base.degree() * k, op)
-                base = base**k
+                if not base.is_constant():
+                    self.fail("negative powers need a constant scalar", op)
+                if base.is_zero():
+                    self.fail("negative power of zero", op)
+                base, k = CommPoly.constant(base.constant_value().inverse()), -k
+            if not scalar:
+                self._guard((base,), k, op)
+            free = isinstance(base, FreeComodulePoly)
+            base = base**k if free else self._bounded_power(base, k, op)
         return base
 
-    def _scalar_power(self, value, k, op):
-        """value ** k, refused as soon as a square or a partial product has a
-        numerator or denominator past MAX_SCALAR_BITS."""
+    def _bounded_power(self, base, k, op):
+        """base ** k for a scalar or an algebra element, refused as soon as a
+        square or a partial product has a coefficient past MAX_SCALAR_BITS
+        bits or MAX_SCALAR_TERMS terms."""
+        scalar = isinstance(base, CommPoly)
+        noun = "scalar power" if scalar else "coefficient of a power"
 
         def bounded(v):
-            if max(abs(c).bit_length() for c in v.num + (v.den,)) > MAX_SCALAR_BITS:
-                self.fail(f"scalar power exceeds {MAX_SCALAR_BITS} bits", op)
+            for poly in [v] if scalar else v.terms.values():
+                if len(poly.terms) > MAX_SCALAR_TERMS:
+                    self.fail(f"{noun} exceeds {MAX_SCALAR_TERMS} terms", op)
+                for c in poly.terms.values():
+                    if max(abs(x).bit_length() for x in c.num + (c.den,)) > MAX_SCALAR_BITS:
+                        self.fail(f"{noun} exceeds {MAX_SCALAR_BITS} bits", op)
 
-        if k < 0:
-            value, k = value.inverse(), -k
-        return power(value, k, CyclotomicNumber.one(value.order), bounded)
+        one = CommPoly.one(base.order) if scalar else base.algebra.one()
+        return power(base, k, one, bounded)
 
     def exponent(self):
         tok = self.peek()

@@ -60,20 +60,50 @@ def free_algebra(H: HopfPresentation, copies: int) -> PresentedAlgebra:
     labels = [H.algebra.render_word(w) for w in H.basis()]
     names = [f"X[{i},{lab}]" for i in range(1, copies + 1) for lab in labels]
     T = PresentedAlgebra(f"T(X_{H.name};{copies})", names, H.algebra.order, ())
-    T.free_hopf = H
-    T.free_copies = copies
+    T.free_hopf, T.free_copies = H, copies
     return T
 
 
-class FreeComodulePoly:
-    """An element of T(X_H); coefficients are parameter-only polynomials."""
+_SCALARS = (int, Fraction, CyclotomicNumber, CommPoly)
 
-    __slots__ = ("hopf", "copies", "element")
+
+def _lift(elem: AlgElement, T: PresentedAlgebra) -> AlgElement:
+    """An element of a smaller free algebra T(X_H) read in T; gids are a prefix."""
+    return elem if elem.algebra is T else AlgElement(T, elem.terms)
+
+
+class FreeComodulePoly:
+    """An element of T(X_H) kept as an expression tree; coefficients are
+    parameter-only polynomials.
+
+    op is "leaf" (args: an expanded element of T), "sum" or "mul" (two
+    polynomials), "scale" (a polynomial and a coefficient) or "pow" (a
+    polynomial and an exponent); degree_bound is a static upper bound on the
+    degree.  mu and the coaction evaluate the tree in their own targets; the
+    expanded element, which can be exponentially larger, is built on first
+    use of element, for printing, comparison and degree.
+    """
+
+    __slots__ = ("hopf", "copies", "op", "args", "degree_bound", "_element")
 
     def __init__(self, hopf, copies, element):
-        self.hopf = hopf
-        self.copies = copies
-        self.element = element
+        self.hopf, self.copies, self.op, self.args = hopf, copies, "leaf", (element, None)
+        self.degree_bound, self._element = element.degree(), element
+
+    @classmethod
+    def _node(cls, op, first, second):
+        node = cls.__new__(cls)
+        node.hopf, node.op, node.args, node._element = first.hopf, op, (first, second), None
+        node.copies, node.degree_bound = first.copies, first.degree_bound
+        if isinstance(second, cls):
+            if second.hopf is not first.hopf:
+                raise ValueError("free polynomials over different Hopf algebras")
+            node.copies = max(first.copies, second.copies)
+            both = (first.degree_bound, second.degree_bound)
+            node.degree_bound = max(both) if op == "sum" else sum(both)
+        elif op == "pow":
+            node.degree_bound *= second
+        return node
 
     @classmethod
     def zero(cls, H, copies=1):
@@ -82,24 +112,7 @@ class FreeComodulePoly:
     @classmethod
     def scalar(cls, H, value, copies=1):
         T = free_algebra(H, copies)
-        poly = cls._check_coeff(T.coerce_poly(value))
-        return cls(H, copies, T.one() * poly)
-
-    def _lift(self, copies):
-        if copies == self.copies:
-            return self
-        T = free_algebra(self.hopf, copies)
-        return FreeComodulePoly(
-            self.hopf, copies, AlgElement(T, dict(self.element.terms))
-        )
-
-    def _pair(self, other):
-        if isinstance(other, FreeComodulePoly):
-            if other.hopf is not self.hopf:
-                raise ValueError("free polynomials over different Hopf algebras")
-            copies = max(self.copies, other.copies)
-            return self._lift(copies), other._lift(copies)
-        return None
+        return cls(H, copies, T.one() * cls._check_coeff(T.coerce_poly(value)))
 
     @staticmethod
     def _check_coeff(poly: CommPoly):
@@ -111,59 +124,57 @@ class FreeComodulePoly:
                 )
         return poly
 
+    @property
+    def element(self) -> AlgElement:
+        """The expanded element of free_algebra(hopf, copies), computed once."""
+        if self._element is None:
+            T = free_algebra(self.hopf, self.copies)
+            self._element = _evaluate(self, lambda e: _lift(e, T))
+        return self._element
+
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is not None:
-            a, b = pair
-            return FreeComodulePoly(self.hopf, a.copies, a.element + b.element)
-        if isinstance(other, (int, Fraction, CyclotomicNumber, CommPoly)):
-            return self + FreeComodulePoly.scalar(self.hopf, other, self.copies)
+        if isinstance(other, _SCALARS):
+            other = FreeComodulePoly.scalar(self.hopf, other, self.copies)
+        if isinstance(other, FreeComodulePoly):
+            return FreeComodulePoly._node("sum", self, other)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FreeComodulePoly(self.hopf, self.copies, -self.element)
+        return self * -1
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is not None:
-            a, b = pair
-            return FreeComodulePoly(self.hopf, a.copies, a.element - b.element)
-        if isinstance(other, (int, Fraction, CyclotomicNumber, CommPoly)):
-            return self - FreeComodulePoly.scalar(self.hopf, other, self.copies)
-        return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is not None:
-            a, b = pair
-            return FreeComodulePoly(self.hopf, a.copies, a.element * b.element)
-        if isinstance(other, CommPoly):
-            self._check_coeff(other)
-        if isinstance(other, (int, Fraction, CyclotomicNumber, CommPoly)):
-            return FreeComodulePoly(self.hopf, self.copies, self.element * other)
+        if isinstance(other, FreeComodulePoly):
+            return FreeComodulePoly._node("mul", self, other)
+        if isinstance(other, _SCALARS):
+            poly = self._check_coeff(self.hopf.algebra.coerce_poly(other))
+            return FreeComodulePoly._node("scale", self, poly)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber, CommPoly)):
+        if isinstance(other, _SCALARS):
             return self * other
         return NotImplemented
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        return FreeComodulePoly(self.hopf, self.copies, self.element**k)
+        return FreeComodulePoly._node("pow", self, k)
 
     def __eq__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        if not isinstance(other, FreeComodulePoly):
             return NotImplemented
-        a, b = pair
-        return a.element == b.element
+        if other.hopf is not self.hopf:
+            raise ValueError("free polynomials over different Hopf algebras")
+        # generator ids of a smaller free algebra are a prefix of a larger one's
+        return self.element.terms == other.element.terms
 
     def is_zero(self) -> bool:
         return self.element.is_zero()
@@ -189,6 +200,38 @@ class FreeComodulePoly:
         return f"FreeComodulePoly({self.element})"
 
 
+def _evaluate(P: FreeComodulePoly, leaf_map, coeff_map=None):
+    """P evaluated by the algebra map that sends each leaf element to leaf_map(leaf).
+
+    Values may be elements of any algebra, or free polynomials again, and
+    coeff_map, if given, rewrites the coefficient of each scalar multiple.
+    Nodes are memoised by identity, so a subtree the tree shares is computed
+    once, and the walk keeps its own stack, so depth costs no recursion.
+    """
+    memo, stack = {}, [P]
+    while stack:
+        node = stack.pop()
+        if id(node) in memo:
+            continue
+        first, second = node.args
+        pending = [a for a in node.args if isinstance(a, FreeComodulePoly) and id(a) not in memo]
+        if pending:
+            stack += [node, *pending]
+            continue
+        if node.op == "leaf":
+            value = leaf_map(first)
+        elif node.op == "sum":
+            value = memo[id(first)] + memo[id(second)]
+        elif node.op == "mul":
+            value = memo[id(first)] * memo[id(second)]
+        elif node.op == "scale":
+            value = memo[id(first)] * (coeff_map(second) if coeff_map else second)
+        else:
+            value = memo[id(first)] ** second
+        memo[id(node)] = value
+    return memo[id(P)]
+
+
 def _gen_meta(T: PresentedAlgebra, gid: int):
     dim = len(T.free_hopf.basis())
     return gid // dim + 1, gid % dim
@@ -207,8 +250,7 @@ def x_symbol(i: int, h: AlgElement) -> FreeComodulePoly:
     T = free_algebra(H, max(i, 1))
     terms = {}
     for w, c in h.terms.items():
-        gid = _gen_id(T, i, H.basis_index(w))
-        key = (gid,)
+        key = (_gen_id(T, i, H.basis_index(w)),)
         terms[key] = terms.get(key, CommPoly.zero(T.order)) + c
     return FreeComodulePoly(H, max(i, 1), AlgElement(T, terms))
 
@@ -248,7 +290,7 @@ def t_coaction(P: FreeComodulePoly) -> AlgElement:
     if delta is None:
         TH = tensor_product(T, P.hopf.algebra)
         T.coaction_map = delta = Morphism(T, TH, lambda g: _t_coaction_image(T, TH, g))
-    return delta(P.element)
+    return _evaluate(P, lambda e: delta(_lift(e, T)))
 
 
 def is_coinvariant(P: FreeComodulePoly) -> bool:
@@ -265,9 +307,7 @@ def _mu_image(T: PresentedAlgebra, A: ComoduleAlgebra, gid: int) -> AlgElement:
     acc = A.algebra.zero()
     for sw, sc in H.coproduct_word(H.basis()[r]).terms.items():
         u, v = H.square.split_word(sw)
-        label = H.algebra.render_word(u)
-        tpoly = CommPoly.variable(T.order, TVar(i, H.basis_index(u), label))
-        acc = acc + AlgElement(A.algebra, {A.section[v]: sc * tpoly})
+        acc = acc + AlgElement(A.algebra, {A.section[v]: sc * t_var(H, i, u)})
     return acc
 
 
@@ -276,7 +316,8 @@ def mu(P: FreeComodulePoly, A: ComoduleAlgebra) -> AlgElement:
 
     The result is an element of the object with coefficients in the
     parameters and the t variables; P is an identity for A exactly when the
-    image is zero.
+    image is zero.  mu is an algebra map, so P's tree is evaluated in A with
+    each leaf sent through the generator images, and P is never expanded.
     """
     if A.hopf is not P.hopf:
         raise ValueError("object and polynomial live over different Hopf algebras")
@@ -287,7 +328,7 @@ def mu(P: FreeComodulePoly, A: ComoduleAlgebra) -> AlgElement:
     elif f.source.free_copies < P.copies:
         # more copies only append generators, which _mu_image maps from any T
         f.extend(T)
-    return f(P._lift(f.source.free_copies).element)
+    return _evaluate(P, lambda e: f(_lift(e, f.source)))
 
 
 def is_identity(P: FreeComodulePoly, A: ComoduleAlgebra) -> bool:
@@ -309,11 +350,10 @@ def taft_identity(n: int) -> FreeComodulePoly:
     X = x_symbol(1, alg.gen("x"))
     Y = x_symbol(1, alg.gen("y"))
     c = CommPoly.variable(n, ParamVar("c"))
+    Xn = X**n
     lead = (Y * X - q * (X * Y)) ** n
-    body = (X**n) * (Y**n)
-    tail = (E**n) * (X**n)
     w = (CyclotomicNumber.one(n) - q) ** n
-    return lead - w * body + (w * c) * tail
+    return lead - w * (Xn * Y**n) + (w * c) * (E**n * Xn)
 
 
 def en_identities(n: int) -> list:
@@ -329,12 +369,13 @@ def en_identities(n: int) -> list:
     E = x_symbol(1, alg.one())
     X = x_symbol(1, alg.gen("x"))
     Y = [x_symbol(1, alg.gen(f"y{i}")) for i in range(1, n + 1)]
-    EX = (E**2) * (X**2)
+    X2 = X**2
+    EX = (E**2) * X2
+    anti = [X * Yi + Yi * X for Yi in Y]
     out = []
     for i in range(1, n + 1):
         ci = CommPoly.variable(2, ParamVar("c", (i,)))
-        anti = X * Y[i - 1] + Y[i - 1] * X
-        out.append(anti**2 - 4 * ((X**2) * (Y[i - 1] ** 2)) + (4 * ci) * EX)
+        out.append(anti[i - 1] ** 2 - 4 * (X2 * (Y[i - 1] ** 2)) + (4 * ci) * EX)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             if i == j:
@@ -342,9 +383,7 @@ def en_identities(n: int) -> list:
             else:
                 dij = CommPoly.variable(2, ParamVar("d", (i, j)))
             sym = Y[i - 1] * Y[j - 1] + Y[j - 1] * Y[i - 1]
-            anti_i = X * Y[i - 1] + Y[i - 1] * X
-            anti_j = X * Y[j - 1] + Y[j - 1] * X
-            out.append(2 * (sym * (X**2)) - anti_i * anti_j - (2 * dij) * EX)
+            out.append(2 * (sym * X2) - anti[i - 1] * anti[j - 1] - (2 * dij) * EX)
     return out
 
 
@@ -355,11 +394,7 @@ def catalog(H: HopfPresentation):
     if H.family == "en":
         polys = en_identities(H.n)
         names = [f"en_ci:{i}" for i in range(1, H.n + 1)]
-        names += [
-            f"en_dij:{i},{j}"
-            for i in range(1, H.n + 1)
-            for j in range(i, H.n + 1)
-        ]
+        names += [f"en_dij:{i},{j}" for i in range(1, H.n + 1) for j in range(i, H.n + 1)]
         return list(zip(names, polys))
     return []
 
@@ -368,13 +403,12 @@ def bind_to_object(P: FreeComodulePoly, A: ComoduleAlgebra) -> FreeComodulePoly:
     """Specialize the catalog parameters of P to the object's own values."""
     # a is no catalog parameter: the catalog identities hold for every a
     assignment = {param_var(k): A.param_poly(k) for k in A.spec.keys() if k != "a"}
-    T = free_algebra(P.hopf, P.copies)
-    terms = {}
-    for w, c in P.element.terms.items():
-        nc = c.specialize(assignment)
-        if not nc.is_zero():
-            terms[w] = nc
-    return FreeComodulePoly(P.hopf, P.copies, AlgElement(T, terms))
+
+    def leaf(e):
+        terms = {w: c.specialize(assignment) for w, c in e.terms.items()}
+        return FreeComodulePoly(P.hopf, e.algebra.free_copies, AlgElement(e.algebra, terms))
+
+    return _evaluate(P, leaf, lambda c: c.specialize(assignment))
 
 
 def coinvariant_P(h: AlgElement) -> FreeComodulePoly:
@@ -387,8 +421,7 @@ def coinvariant_P(h: AlgElement) -> FreeComodulePoly:
         for sw, sc in H.coproduct_word(w).terms.items():
             u, v = H.square.split_word(sw)
             left = x_symbol(1, H.algebra.element({u: 1}))
-            right = x_symbol(1, H.antipode_word(v))
-            out = out + (left * right) * (c * sc)
+            out = out + left * x_symbol(1, H.antipode_word(v)) * (c * sc)
     return out
 
 
@@ -406,12 +439,8 @@ def coinvariant_Q(h: AlgElement, h2: AlgElement) -> FreeComodulePoly:
                 for sw2, sc2 in H.coproduct_word(w2).terms.items():
                     u2, v2 = H.square.split_word(sw2)
                     s_part = antipode(H, alg.normal_form_word(v + v2))
-                    piece = (
-                        x_symbol(1, alg.element({u: 1}))
-                        * x_symbol(1, alg.element({u2: 1}))
-                        * x_symbol(1, s_part)
-                    )
-                    out = out + piece * (c * c2 * sc * sc2)
+                    piece = x_symbol(1, alg.element({u: 1})) * x_symbol(1, alg.element({u2: 1}))
+                    out = out + piece * x_symbol(1, s_part) * (c * c2 * sc * sc2)
     return out
 
 
@@ -422,12 +451,8 @@ def commutator_identity(core: FreeComodulePoly, z: AlgElement) -> FreeComodulePo
 
 
 def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+    return -1 if inversions % 2 else 1
 
 
 def standard_polynomial(m: int) -> FreeComodulePoly:
@@ -493,11 +518,17 @@ def substitute(P: FreeComodulePoly, image_fn) -> FreeComodulePoly:
     for gid in sorted({gid for w in P.element.terms for gid in w}):
         i, r = _gen_meta(T, gid)
         images[gid] = image_fn(i, basis[r])
-    # the result lives in the free algebra on the most copies any image uses
+    # the result lives in the free algebra on the most copies any image uses;
+    # a generator that only the tree's leaves name cancels from P, so it may
+    # map to zero
     copies = max([P.copies] + [g.copies for g in images.values()])
     target = free_algebra(H, copies)
-    f = Morphism(T, target, lambda gid: images[gid]._lift(copies).element)
-    return FreeComodulePoly(H, copies, f(P.element))
+
+    def image(gid):
+        return _lift(images[gid].element, target) if gid in images else target.zero()
+
+    f = Morphism(T, target, image)
+    return _evaluate(P, lambda e: FreeComodulePoly(H, copies, f(_lift(e, T))))
 
 
 # -- parameter comparison of two objects ---------------------------------------
@@ -586,15 +617,11 @@ def distinguish(A: ComoduleAlgebra, B: ComoduleAlgebra):
     """
     if A.hopf is not B.hopf:
         raise ValueError("objects live over different Hopf algebras")
+    ways = ((A, B, "first", "second"), (B, A, "second", "first"))
     for name, template in catalog(A.hopf):
-        w = mu(bind_to_object(template, A), B)
-        if not w.is_zero():
-            return Distinguished(
-                name, "identity of the first object evaluated in the second", w
-            )
-        w = mu(bind_to_object(template, B), A)
-        if not w.is_zero():
-            return Distinguished(
-                name, "identity of the second object evaluated in the first", w
-            )
+        for source, target, one, other in ways:
+            w = mu(bind_to_object(template, source), target)
+            if not w.is_zero():
+                how = f"identity of the {one} object evaluated in the {other}"
+                return Distinguished(name, how, w)
     return Isomorphic(_a_class_note(A, B))

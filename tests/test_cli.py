@@ -1,6 +1,7 @@
 """End-to-end command line tests, driving main() in process.
 
-One case runs the console module in a real process, to see its stderr.
+Two cases run the console module in a real process: one to see its stderr,
+one to kill it if it runs past a time limit.
 """
 
 import json
@@ -14,7 +15,7 @@ import pytest
 import hopfid
 from hopfid import cli
 from hopfid.cli import main
-from hopfid.exprparse import MAX_SCALAR_BITS
+from hopfid.exprparse import MAX_SCALAR_BITS, MAX_SCALAR_TERMS
 
 
 def run(capsys, *argv):
@@ -291,21 +292,64 @@ def test_deep_nesting_exits_2(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_deep_nesting_error_is_short():
-    # a real process, so a traceback would show on stderr
+def _child(*argv, timeout):
+    """Run the console module in a real process, killed after timeout seconds."""
     src = os.path.dirname(os.path.dirname(hopfid.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    deep = "(" * 3000 + "X" + ")" * 3000
-    proc = subprocess.run(
-        [sys.executable, "-m", "hopfid.cli", "verify", "--object", "taft:2;a=1;c=0", deep],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "hopfid.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_deep_nesting_error_is_short():
+    # a real process, so a traceback would show on stderr
+    deep = "(" * 3000 + "X" + ")" * 3000
+    proc = _child("verify", "--object", "taft:2;a=1;c=0", deep, timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr) < 400
     assert "nesting deeper than 100 levels" in proc.stderr
+
+
+def test_wide_free_power_is_not_expanded():
+    # (E+X+Y)^12 expands to 3^12 words in T(X_H); mu evaluates it in the object
+    proc = _child("mu", "--object", "taft:2;a=1;c=0", "(E+X+Y)^12", timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("mu image in A(taft:2;a=1;c=0): (660*t[1,1]^2*t[1,x]*t[1,y]^9 + ")
+
+
+def test_taft_pc_verified_at_n_20(capsys):
+    code, out, _ = run(capsys, "verify", "--object", "taft:20;a=sym;c=sym", "taft_pc")
+    assert code == 0
+    assert out == "taft_pc: identity verified (symbolic a, c)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mu", "--max-degree", "3", "--object", "taft:3;a=1;c=0", "--", "(a+1)^600*X"],
+         f"scalar power exceeds {MAX_SCALAR_TERMS} terms"),
+        (["normalform", "--algebra", "taft:3;a=2;c=sym", "x^999999999"],
+         f"coefficient of a power exceeds {MAX_SCALAR_BITS} bits"),
+    ],
+    ids=["parameter-power", "element-power"],
+)
+def test_growing_powers_exit_2_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("k", [5, 8, 11, 999999999])
+def test_powers_that_reduce_stay_unbounded(capsys, k):
+    code, out, _ = run(capsys, "normalform", "--algebra", "taft:4;a=1;c=0", f"x^{k}")
+    assert code == 0
+    word = {0: "1", 1: "x"}.get(k % 4, f"x^{k % 4}")
+    assert out == f"normal form in taft:4;a=1;c=0: {word}\n"
 
 
 def test_leading_minus_expression_after_double_dash(capsys):

@@ -9,6 +9,8 @@ from hopfid.exprparse import (
     DEFAULT_FREE_DEGREE,
     MAX_COPIES,
     MAX_NESTING,
+    MAX_SCALAR_BITS,
+    MAX_SCALAR_TERMS,
     MatrixSpec,
     ParseError,
     parse_expression,
@@ -186,6 +188,33 @@ def test_expansion_guard():
         parse_expression("(X*Y)^5", taft(2), max_degree=4)
     # the guard sees reduced operands, so collapsing products stay cheap
     parse_expression("x^2*x^2", taft(2).algebra, max_degree=2)
+
+
+def test_expansion_guard_tries_the_static_bound_first():
+    H = taft(2)
+    # under the limit by the tree's bound: nothing is expanded
+    P = parse_expression("(E+X+Y)^12", H, max_degree=12)
+    assert P.degree_bound == 12 and P._element is None
+    # over it by the bound but not by the exact degree, which then decides
+    parse_expression("(X - X)^5 * X^4", H, max_degree=4)
+    parse_expression("((X - X)*X^200)*X^100", H)
+    with pytest.raises(ParseError, match=r"degree 5 exceeds --max-degree 4"):
+        parse_expression("(X - X + Y)^5", H, max_degree=4)
+    with pytest.raises(ParseError, match=r"degree 6 exceeds --max-degree 5"):
+        parse_expression("(X - X + Y^2) * (X^3 + X - X^3)^4", H, max_degree=5)
+
+
+def test_powers_of_scalars_and_elements_are_bounded():
+    a = "(a + 1)"
+    assert len(parse_expression(f"{a}^255", taft(3).algebra).terms[()].terms) == 256
+    with pytest.raises(ParseError, match=f"scalar power exceeds {MAX_SCALAR_TERMS} terms"):
+        parse_expression(f"{a}^256", taft(3).algebra)
+    obj = galois_object(parse_object_spec("taft:3;a=2;c=sym")).algebra
+    assert parse_expression("x^3000", obj) == obj.one() * 2**1000
+    with pytest.raises(ParseError, match=f"coefficient of a power exceeds {MAX_SCALAR_BITS} bits"):
+        parse_expression("x^999999999", obj)
+    with pytest.raises(ParseError, match=f"coefficient of a power exceeds {MAX_SCALAR_TERMS} terms"):
+        parse_expression("((a + 1)*x)^300", obj)
 
 
 def test_scalars_mix_with_elements_on_either_side():
