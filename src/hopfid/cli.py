@@ -123,23 +123,30 @@ def _cmd_mu(args, timings):
     return result, [f"mu image in {A.name}: {image}"], 0
 
 
-def _named_identity(name, A):
-    """Resolve a catalog name against an object; returns (kind, payload)."""
-    for cat_name, template in catalog(A.hopf):
+def _named_identity(args, A):
+    """The polynomials whose mu images decide args.identity on A.
+
+    A catalog name gives its template bound to A; coinv_P:<h> and
+    coinv_Q:<h>,<h'> give the core's commutators with X[2,z], one per basis
+    word z of H; any other text is parsed as one polynomial.
+    """
+    name, H = args.identity.strip(), A.hopf
+    for cat_name, template in catalog(H):
         if name == cat_name:
-            return "single", bind_to_object(template, A)
+            return [bind_to_object(template, A)]
     if name.startswith("coinv_P:"):
-        h = parse_expression(name[len("coinv_P:"):], A.hopf.algebra)
-        return "commutators", coinvariant_P(h)
-    if name.startswith("coinv_Q:"):
+        core = coinvariant_P(parse_expression(name[len("coinv_P:"):], H.algebra))
+    elif name.startswith("coinv_Q:"):
         body = name[len("coinv_Q:"):]
         if "," not in body:
             raise _Usage("coinv_Q takes two elements: coinv_Q:<h>,<h'>")
         left, right = body.split(",", 1)
-        h = parse_expression(left, A.hopf.algebra)
-        h2 = parse_expression(right, A.hopf.algebra)
-        return "commutators", coinvariant_Q(h, h2)
-    return None
+        core = coinvariant_Q(*(parse_expression(e, H.algebra) for e in (left, right)))
+    elif name == "taft_pc" or name.split(":", 1)[0] in ("taft_pc", "en_ci", "en_dij"):
+        raise _Usage(f"identity {name!r} is not in the catalog of {H.name}")
+    else:
+        return [parse_expression(name, H, args.max_degree)]
+    return [commutator_identity(core, H.algebra.element({z: 1})) for z in H.basis()]
 
 
 def _matrix_witness(m, assignment, value) -> str:
@@ -186,33 +193,15 @@ def _cmd_verify(args, timings):
         return result, lines, 0 if holds else 1
     spec = _galois_spec(args.object)
     A = galois_object(spec)
-    resolved = _named_identity(name, A)
-    if resolved is None and (
-        name == "taft_pc"
-        or name.split(":", 1)[0] in ("taft_pc", "en_ci", "en_dij")
-    ):
-        raise _Usage(
-            f"identity {name!r} is not in the catalog of {A.hopf.name}"
-        )
+    polys = _named_identity(args, A)
     start = time.perf_counter()
-    if resolved is None:
-        poly = parse_expression(name, A.hopf, args.max_degree)
-        witness = mu(poly, A)
-        holds = witness.is_zero()
-    elif resolved[0] == "single":
-        witness = mu(resolved[1], A)
-        holds = witness.is_zero()
-    else:
-        core = resolved[1]
-        holds = True
-        witness = None
-        for z in A.hopf.basis():
-            z_elem = A.hopf.algebra.element({z: 1})
-            image = mu(commutator_identity(core, z_elem), A)
-            if not image.is_zero():
-                holds = False
-                witness = image
-                break
+    witness = None
+    for poly in polys:
+        image = mu(poly, A)
+        if not image.is_zero():
+            witness = image
+            break
+    holds = witness is None
     timings["verify"] = time.perf_counter() - start
     result = {
         "object": spec.render(),

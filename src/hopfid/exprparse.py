@@ -268,7 +268,12 @@ class _Parser:
             if not scalar:
                 self._guard((base,), k, op)
             free = isinstance(base, FreeComodulePoly)
-            base = base**k if free else self._bounded_power(base, k, op)
+            if free and base.degree_bound == 0:
+                # a constant: raise its value, so the scalar bounds apply
+                value = self._bounded_power(base.element.coefficient(()), k, op)
+                base = FreeComodulePoly.scalar(base.hopf, value, base.copies)
+            else:
+                base = base**k if free else self._bounded_power(base, k, op)
         return base
 
     def _bounded_power(self, base, k, op):

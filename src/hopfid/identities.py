@@ -307,7 +307,7 @@ def _mu_image(T: PresentedAlgebra, A: ComoduleAlgebra, gid: int) -> AlgElement:
     acc = A.algebra.zero()
     for sw, sc in H.coproduct_word(H.basis()[r]).terms.items():
         u, v = H.square.split_word(sw)
-        acc = acc + AlgElement(A.algebra, {A.section[v]: sc * t_var(H, i, u)})
+        acc = acc + AlgElement(A.algebra, {v: sc * t_var(H, i, u)})
     return acc
 
 

@@ -432,6 +432,16 @@ class Morphism:
             self._words[word] = hit
         return hit
 
+    def broken_relations(self) -> list:
+        """The source's rules whose two sides map to different elements.
+
+        Both sides go word by word through word(), so an empty list proves
+        that the map is well defined on the presented algebra.
+        """
+        zero = self.target.zero()
+        return [rule for rule in self.source.rules
+                if self.word(rule.lhs) != sum((self.word(w) * c for w, c in rule.rhs), zero)]
+
     def __call__(self, elem: AlgElement) -> AlgElement:
         if elem.algebra is not self.source:
             raise ValueError(f"element does not belong to {self.source.name}")

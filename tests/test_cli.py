@@ -332,8 +332,11 @@ def test_taft_pc_verified_at_n_20(capsys):
          f"scalar power exceeds {MAX_SCALAR_TERMS} terms"),
         (["normalform", "--algebra", "taft:3;a=2;c=sym", "x^999999999"],
          f"coefficient of a power exceeds {MAX_SCALAR_BITS} bits"),
+        # degree 0 passes the degree guard, so the scalar bound must catch it
+        (["mu", "--object", "taft:2;a=1;c=0", "(2*X^0)^99999999"],
+         f"scalar power exceeds {MAX_SCALAR_BITS} bits"),
     ],
-    ids=["parameter-power", "element-power"],
+    ids=["parameter-power", "element-power", "free-constant-power"],
 )
 def test_growing_powers_exit_2_at_once(capsys, argv, message):
     start = time.perf_counter()
@@ -407,6 +410,9 @@ def test_root_of_unity_powers_are_not_bounded(capsys):
     code, out, _ = run(capsys, "mu", "--object", "taft:3;a=1;c=0", "q^-1000000000*X")
     assert code == 0
     assert out == "mu image in A(taft:3;a=1;c=0): (-1 - z)*t[1,x]*x\n"
+    code, out, _ = run(capsys, "mu", "--object", "taft:3;a=1;c=0", "(q*E^0)^1000000000*X")
+    assert code == 0
+    assert out == "mu image in A(taft:3;a=1;c=0): (z)*t[1,x]*x\n"
 
 
 @pytest.mark.parametrize(

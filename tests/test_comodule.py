@@ -16,7 +16,7 @@ from hopfid.comodule import (
 )
 from hopfid.cyclotomic import CyclotomicNumber
 from hopfid.hopf import coproduct, en, taft
-from hopfid.ncalg import Morphism
+from hopfid.ncalg import Morphism, embed
 
 
 def test_taft_spec_construction():
@@ -119,13 +119,15 @@ def test_section_intertwines():
     H = A.hopf
     for w in H.basis():
         u = A.section_element(H.algebra.element({w: 1}))
+        # u sends each basis word to the same word, normal in the object
+        assert u == A.algebra.element({w: 1})
         lhs = coaction(A, u)
         rhs = A.tensor.zero()
-        ngA = len(A.algebra.generators)
         for sw, c in H.coproduct_word(w).terms.items():
             left, right = H.square.split_word(sw)
-            key = A.section[left] + tuple(g + ngA for g in right)
-            rhs = rhs + A.tensor.element({key: c})
+            u_left = A.section_element(H.algebra.element({left: 1}))
+            h_right = H.algebra.element({right: 1})
+            rhs = rhs + embed(u_left, A.tensor, 0) * embed(h_right, A.tensor, 1) * c
         assert lhs == rhs
 
 
