@@ -23,13 +23,7 @@ import random
 import sys
 import time
 
-from .comodule import (
-    ComoduleAlgebra,
-    GaloisObjectSpec,
-    Symbolic,
-    check_comodule,
-    galois_object,
-)
+from .comodule import check_comodule, galois_object
 from .cyclotomic import join_signed
 from .exprparse import (
     MatrixSpec,
@@ -58,20 +52,13 @@ class _Usage(ValueError):
     pass
 
 
-def _galois_spec(text) -> GaloisObjectSpec:
+def _galois_spec(text):
     spec = parse_object_spec(text)
     if isinstance(spec, MatrixSpec):
         raise _Usage(
             "this command needs a comodule algebra spec like taft:2;a=1;c=0"
         )
     return spec
-
-
-def _symbolic_note(A: ComoduleAlgebra) -> str:
-    names = [k for k, v in A.spec.values if isinstance(v, Symbolic)]
-    if not names:
-        return ""
-    return " (symbolic " + ", ".join(names) + ")"
 
 
 # -- subcommand handlers --------------------------------------------------------
@@ -175,70 +162,25 @@ def _cmd_verify(args, timings):
         m = int(name[len("standard:"):])
         start = time.perf_counter()
         found = matrix_identity_witness(m, spec.k)
-        timings["verify"] = time.perf_counter() - start
-        holds = found is None
-        result = {
-            "object": spec.render(),
-            "identity": name,
-            "verified": holds,
-        }
-        if holds:
-            lines = [f"{name}: identity verified on {spec.k}x{spec.k} matrices"]
-        else:
-            result["witness"] = _matrix_witness(m, *found)
-            lines = [
-                f"{name}: not an identity on {spec.k}x{spec.k} matrices",
-                f"witness: {result['witness']}",
-            ]
-        return result, lines, 0 if holds else 1
-    spec = _galois_spec(args.object)
-    A = galois_object(spec)
-    polys = _named_identity(args, A)
-    start = time.perf_counter()
-    witness = None
-    for poly in polys:
-        image = mu(poly, A)
-        if not image.is_zero():
-            witness = image
-            break
-    holds = witness is None
-    timings["verify"] = time.perf_counter() - start
-    result = {
-        "object": spec.render(),
-        "identity": name,
-        "verified": holds,
-    }
-    if holds:
-        lines = [f"{name}: identity verified{_symbolic_note(A)}"]
+        witness = found and _matrix_witness(m, *found)
+        where, label = f"on {spec.k}x{spec.k} matrices", "witness"
+        note = f" {where}"
     else:
-        result["witness"] = str(witness)
-        lines = [
-            f"{name}: not an identity for {A.name}",
-            f"witness mu-image: {witness}",
-        ]
-    return result, lines, 0 if holds else 1
-
-
-def _auto_prime(first: GaloisObjectSpec, second: GaloisObjectSpec):
-    """Prime the second spec's symbolic values that collide with the first.
-
-    Without this, two objects described by the same free parameter letter
-    would compare as one object; the primed copy keeps them distinct while
-    staying symbolic.
-    """
-    taken = {
-        (k, v.prime) for k, v in first.values if isinstance(v, Symbolic)
-    }
-    changed = []
-    for k, v in second.values:
-        if isinstance(v, Symbolic):
-            prime = v.prime
-            while (k, prime) in taken:
-                prime += 1
-            changed.append((k, Symbolic(prime)))
-        else:
-            changed.append((k, v))
-    return GaloisObjectSpec(second.family, second.n, tuple(changed))
+        spec = _galois_spec(args.object)
+        A = galois_object(spec)
+        polys = _named_identity(args, A)
+        start = time.perf_counter()
+        images = (mu(poly, A) for poly in polys)
+        witness = next((image for image in images if not image.is_zero()), None)
+        where, label = f"for {A.name}", "witness mu-image"
+        symbolic = spec.symbolic_keys()
+        note = f" (symbolic {', '.join(symbolic)})" if symbolic else ""
+    timings["verify"] = time.perf_counter() - start
+    result = {"object": spec.render(), "identity": name, "verified": witness is None}
+    if witness is None:
+        return result, [f"{name}: identity verified{note}"], 0
+    result["witness"] = str(witness)
+    return result, [f"{name}: not an identity {where}", f"{label}: {witness}"], 1
 
 
 def _cmd_distinguish(args, timings):
@@ -249,7 +191,7 @@ def _cmd_distinguish(args, timings):
             f"cannot compare {first.render()} with {second.render()}: "
             "different families"
         )
-    second = _auto_prime(first, second)
+    second = second.primed_apart(first)
     A = galois_object(first)
     B = galois_object(second)
     start = time.perf_counter()

@@ -2,7 +2,8 @@
 
 A GaloisObjectSpec records the family, the size n, and the structure
 parameters, each either an exact cyclotomic number or symbolic (optionally
-primed, so two symbolic objects can coexist in one computation).  The Taft
+primed, so two symbolic objects can coexist in one computation);
+object_spec is the one place that knows each family's keys.  The Taft
 family object has relations x^n = a, yx = q xy, y^n = c; the E(n) family
 object has u^2 = a, ui^2 = ci, ui u = -u ui, ui uj + uj ui = dij.  Both are
 hopf.family_relations at the spec's parameters (param_var names the
@@ -14,20 +15,21 @@ of the object, which is normal there too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .commpoly import CommPoly, ParamVar
 from .cyclotomic import CyclotomicNumber
 from .hopf import HopfPresentation, check_coaction_laws, coaction_images
-from .hopf import en, family_relations, relation_failures, taft
+from .hopf import family_hopf, family_relations, relation_failures
 from .linalg import kernel_basis, rank
 from .ncalg import AlgElement, Morphism, PresentedAlgebra, tensor_product
 
 __all__ = [
     "Symbolic",
     "GaloisObjectSpec",
+    "object_spec",
     "taft_object_spec",
     "en_object_spec",
     "param_var",
@@ -50,28 +52,41 @@ class Symbolic:
 
 @dataclass(frozen=True)
 class GaloisObjectSpec:
+    """A family object's size and parameter values; object_spec builds it."""
+
     family: str
     n: int
-    values: tuple  # sorted (key, CyclotomicNumber | Symbolic) pairs
+    values: tuple  # (key, CyclotomicNumber | Symbolic) pairs in the family's key order
 
     def value(self, key):
-        for k, v in self.values:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return dict(self.values)[key]
 
     def keys(self):
         return [k for k, _ in self.values]
 
+    def symbolic_keys(self) -> list:
+        return [k for k, v in self.values if isinstance(v, Symbolic)]
+
     def is_numeric(self) -> bool:
-        return not any(isinstance(v, Symbolic) for _, v in self.values)
+        return not self.symbolic_keys()
 
     def hopf(self) -> HopfPresentation:
-        if self.family == "taft":
-            return taft(self.n)
-        if self.family == "en":
-            return en(self.n)
-        raise ValueError(f"unknown family {self.family!r}")
+        return family_hopf(self.family, self.n)
+
+    def primed_apart(self, other: GaloisObjectSpec) -> GaloisObjectSpec:
+        """This spec with each symbolic value primed past other's for its key.
+
+        Without this, two objects described by the same free parameter letter
+        would compare as one object; the primed copy keeps them distinct while
+        staying symbolic.
+        """
+        taken = {(k, other.value(k).prime) for k in other.symbolic_keys()}
+        values = []
+        for k, v in self.values:
+            while isinstance(v, Symbolic) and (k, v.prime) in taken:
+                v = Symbolic(v.prime + 1)
+            values.append((k, v))
+        return replace(self, values=tuple(values))
 
     def render(self) -> str:
         parts = [f"{self.family}:{self.n}"]
@@ -82,8 +97,7 @@ class GaloisObjectSpec:
                 parts.append(f"{k}={v}")
         return ";".join(parts)
 
-    def __str__(self):
-        return self.render()
+    __str__ = render
 
 
 def _coerce_value(order, v):
@@ -98,43 +112,51 @@ def _coerce_value(order, v):
     raise ValueError(f"cannot use {v!r} as a parameter value")
 
 
-def taft_object_spec(n, a=Symbolic(), c=Symbolic()) -> GaloisObjectSpec:
-    a = _coerce_value(n, a)
-    c = _coerce_value(n, c)
+def object_spec(family, n, values=None) -> GaloisObjectSpec:
+    """The spec of the object of family:n whose parameters take values.
+
+    values maps keys to a Symbolic, an int, a Fraction or a cyclotomic
+    number of the family's order; an unlisted key stays symbolic.  The keys
+    are a and c for taft, and a, c1..cn and d<i>,<j> with i < j for en: the
+    relation ui uj + uj ui = dij at i = j reads 2 ui^2 = d_ii, so d_ii = 2 ci
+    is derived and no key.  Any other key, and a = 0, is refused with a
+    ValueError.
+    """
+    order = family_hopf(family, n).algebra.order
+    if family == "taft":
+        keys = ["a", "c"]
+    else:
+        keys = ["a"] + [f"c{i}" for i in range(1, n + 1)]
+        keys += [f"d{i},{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    values = dict(values or {})
+    unknown = [k for k in values if k not in keys]
+    if unknown and family == "taft":
+        raise ValueError(f"unknown Taft parameters: {', '.join(sorted(unknown))}; use a, c")
+    if unknown:
+        key, indices = unknown[0], unknown[0][1:].split(",")
+        if key[:1] == "c" and key[1:].isdecimal():
+            raise ValueError(f"c index out of range in {key!r}")
+        if key[:1] == "d" and len(indices) == 2 and all(i.isdecimal() for i in indices):
+            raise ValueError(f"d indices must satisfy 1 <= i < j <= {n}; "
+                             f"d[{key[1:]}] is derived or out of range")
+        raise ValueError(f"unknown E(n) parameter {key!r}; use a, c1..c{n}, d<i>,<j>")
+    pairs = tuple((k, _coerce_value(order, values.get(k, Symbolic()))) for k in keys)
+    a = pairs[0][1]
     if isinstance(a, CyclotomicNumber) and a.is_zero():
         raise ValueError("the parameter a must be invertible (nonzero)")
-    return GaloisObjectSpec("taft", n, (("a", a), ("c", c)))
+    return GaloisObjectSpec(family, n, pairs)
+
+
+def taft_object_spec(n, a=Symbolic(), c=Symbolic()) -> GaloisObjectSpec:
+    return object_spec("taft", n, {"a": a, "c": c})
+
 
 def en_object_spec(n, a=Symbolic(), c=None, d=None) -> GaloisObjectSpec:
-    """Spec for the E(n) family object; d maps pairs (i, j) with i < j.
-
-    The diagonal slots are not free parameters: the defining relation at
-    i = j reads 2 ui^2 = d_ii, so d_ii = 2 ci is derived and rejected here.
-    """
-    a = _coerce_value(2, a)
-    if isinstance(a, CyclotomicNumber) and a.is_zero():
-        raise ValueError("the parameter a must be invertible (nonzero)")
-    if c is None:
-        c = [Symbolic()] * n
-    if isinstance(c, dict):
-        c = [c.get(i, Symbolic()) for i in range(1, n + 1)]
-    c = [_coerce_value(2, v) for v in c]
-    if len(c) != n:
-        raise ValueError(f"need exactly {n} values for c1..c{n}")
-    d = dict(d or {})
-    values = [("a", a)]
-    for i, v in enumerate(c, start=1):
-        values.append((f"c{i}", v))
-    for (i, j), v in sorted(d.items()):
-        if not 1 <= i < j <= n:
-            raise ValueError(
-                f"d indices must satisfy 1 <= i < j <= n; d[{i},{j}] is "
-                "derived or out of range"
-            )
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            values.append((f"d{i},{j}", _coerce_value(2, d.get((i, j), Symbolic()))))
-    return GaloisObjectSpec("en", n, tuple(values))
+    """Spec for the E(n) object; c lists c1, c2, .. or maps i to ci, d maps (i, j) to dij."""
+    c = c.items() if isinstance(c, dict) else enumerate(c or (), start=1)
+    values = {"a": a, **{f"c{i}": v for i, v in c}}
+    values.update((f"d{i},{j}", v) for (i, j), v in (d or {}).items())
+    return object_spec("en", n, values)
 
 
 def param_var(key, prime=0) -> ParamVar:
@@ -202,13 +224,9 @@ def coaction(A: ComoduleAlgebra, e: AlgElement) -> AlgElement:
 
 
 def _require_numeric(A: ComoduleAlgebra, what: str):
-    if not A.spec.is_numeric():
-        symbolic = [
-            k for k, v in A.spec.values if isinstance(v, Symbolic)
-        ]
-        raise ValueError(
-            f"{what} needs numeric parameters; symbolic: {', '.join(symbolic)}"
-        )
+    symbolic = A.spec.symbolic_keys()
+    if symbolic:
+        raise ValueError(f"{what} needs numeric parameters; symbolic: {', '.join(symbolic)}")
 
 
 def coinvariants(A: ComoduleAlgebra):

@@ -10,6 +10,7 @@ arithmetic is exact: coefficients are ints or Fractions, and floats are refused.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -82,22 +83,22 @@ def field_degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def power(base, k, one, check=None):
+def power(base, k, one, check=None, mul=operator.mul):
     """base ** k for k >= 0 by repeated squaring, starting from one.
 
     One product per set bit of k and one squaring between bits, none after
-    the top bit.  check, if given, sees each square and each partial product
-    and may raise to refuse the power.
+    the top bit, each formed by mul.  check, if given, sees each square and
+    each partial product; either may raise to refuse the power.
     """
     result = one
     while k:
         if k & 1:
-            result = result * base
+            result = mul(result, base)
             if check:
                 check(result)
         k >>= 1
         if k:
-            base = base * base
+            base = mul(base, base)
             if check:
                 check(base)
     return result

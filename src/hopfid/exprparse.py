@@ -21,14 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .commpoly import CommPoly, ParamVar
-from .comodule import (
-    GaloisObjectSpec,
-    Symbolic,
-    en_object_spec,
-    taft_object_spec,
-)
+from .comodule import Symbolic, object_spec
 from .cyclotomic import CyclotomicNumber, power, primitive_root
-from .hopf import HopfPresentation, en, taft
+from .hopf import HopfPresentation, family_hopf
 from .identities import FreeComodulePoly, free_algebra, t_var, x_symbol
 from .ncalg import AlgElement, PresentedAlgebra
 
@@ -493,8 +488,7 @@ class MatrixSpec:
     def render(self) -> str:
         return f"matrix:{self.k}"
 
-    def __str__(self):
-        return self.render()
+    __str__ = render
 
 
 def _family_head(head, shown, matrix=False):
@@ -534,8 +528,7 @@ def parse_hopf_spec(text) -> HopfPresentation:
         raise ParseError(
             f"expected a plain family spec like taft:3, found parameters in {text!r}"
         )
-    family, n = _family_head(head, text)
-    return taft(n) if family == "taft" else en(n)
+    return family_hopf(*_family_head(head, text))
 
 
 def _parse_value(text, order, key):
@@ -555,12 +548,24 @@ def _parse_value(text, order, key):
     return val.constant_value()
 
 
+def _canonical_key(key):
+    """The key with its index digits read as numbers and d<ij> read as
+    d<i>,<j>: c01 is c1, and d12 and d01,2 are d1,2."""
+    tag, body = key[:1], key[1:]
+    if tag == "d" and len(body) == 2 and body.isdecimal():
+        body = ",".join(body)
+    indices = body.split(",")
+    if all(i.isdecimal() for i in indices):
+        return tag + ",".join(str(int(i)) for i in indices)
+    return key
+
+
 def parse_object_spec(text):
     """Parse an object spec such as 'taft:3;a=1;c=sym' or 'matrix:2'.
 
-    Unlisted parameters stay symbolic.  The E(n) family takes keys a,
-    c1..cn and d<i>,<j> (also written d<ij>) for i < j; the diagonal d
-    values are derived from c and rejected as inputs.
+    Each part after the head is key=value, and comodule.object_spec judges
+    the keys; unlisted parameters stay symbolic.  A key is read in its
+    canonical form (_canonical_key) before a repeated key is refused.
     """
     parts = [p.strip() for p in text.strip().split(";") if p.strip()]
     if not parts:
@@ -572,59 +577,17 @@ def parse_object_spec(text):
         if n < 1:
             raise ParseError("matrix size must be >= 1")
         return MatrixSpec(n)
-    order = n if family == "taft" else 2
-    seen = {}
+    order = family_hopf(family, n).algebra.order
+    values = {}
     for part in parts[1:]:
-        key, eq, value = part.partition("=")
-        key = key.strip()
+        raw, eq, value = part.partition("=")
         if not eq:
             raise ParseError(f"expected key=value, found {part!r}")
-        if key in seen:
+        key = _canonical_key(raw.strip())
+        if key in values:
             raise ParseError(f"duplicate parameter {key!r}")
-        seen[key] = _parse_value(value, order, key)
-    if family == "taft":
-        known = {"a", "c"}
-        extra = set(seen) - known
-        if extra:
-            raise ParseError(
-                f"unknown Taft parameters: {', '.join(sorted(extra))}; use a, c"
-            )
-        return taft_object_spec(
-            n, a=seen.get("a", Symbolic()), c=seen.get("c", Symbolic())
-        )
-    c = {}
-    d = {}
-    a = Symbolic()
-    for key, value in seen.items():
-        if key == "a":
-            a = value
-            continue
-        if key.startswith("c") and key[1:].isdigit():
-            i = int(key[1:])
-            if not 1 <= i <= n:
-                raise ParseError(f"c index out of range in {key!r}")
-            c[i] = value
-            continue
-        if key.startswith("d"):
-            body = key[1:]
-            if "," in body:
-                si, sj = body.split(",", 1)
-            elif len(body) == 2 and body.isdigit():
-                si, sj = body[0], body[1]
-            else:
-                raise ParseError(f"malformed d parameter {key!r}; use d<i>,<j>")
-            try:
-                i, j = int(si), int(sj)
-            except ValueError:
-                raise ParseError(f"malformed d parameter {key!r}") from None
-            if not 1 <= i < j <= n:
-                raise ParseError(
-                    f"d indices must satisfy 1 <= i < j <= {n}; "
-                    f"d[{i},{j}] is derived or out of range"
-                )
-            d[(i, j)] = value
-            continue
-        raise ParseError(
-            f"unknown E(n) parameter {key!r}; use a, c1..c{n}, d<i>,<j>"
-        )
-    return en_object_spec(n, a=a, c=c, d=d)
+        values[key] = _parse_value(value, order, raw.strip())
+    try:
+        return object_spec(family, n, values)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

@@ -35,6 +35,7 @@ __all__ = [
     "taft",
     "en",
     "trivial_hopf",
+    "family_hopf",
     "coproduct",
     "counit",
     "antipode",
@@ -143,7 +144,7 @@ def coaction_images(tensor) -> tuple:
     )
 
 
-def _family_hopf(family, n, order, names) -> HopfPresentation:
+def _build_family(family, n, order, names) -> HopfPresentation:
     """The family's Hopf algebra on generators x, y1..yk.
 
     Its relations are family_relations at a = 1, c = d = 0; eps(x) = 1,
@@ -170,7 +171,7 @@ def taft(n: int) -> HopfPresentation:
     """
     if n < 2:
         raise ValueError("the Taft family starts at n = 2")
-    return _family_hopf("taft", n, n, ("x", "y"))
+    return _build_family("taft", n, n, ("x", "y"))
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +183,14 @@ def en(n: int) -> HopfPresentation:
     """
     if n < 1:
         raise ValueError("the E(n) family starts at n = 1")
-    return _family_hopf("en", n, 2, ("x",) + tuple(f"y{i}" for i in range(1, n + 1)))
+    return _build_family("en", n, 2, ("x",) + tuple(f"y{i}" for i in range(1, n + 1)))
+
+
+def family_hopf(family, n) -> HopfPresentation:
+    """The Hopf algebra of a family by its name: taft(n) or en(n)."""
+    if family not in ("taft", "en"):
+        raise ValueError(f"unknown family {family!r}")
+    return taft(n) if family == "taft" else en(n)
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ target family symbolically.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +20,7 @@ from math import factorial
 
 from .commpoly import CommPoly, ParamVar, TVar
 from .comodule import ComoduleAlgebra, Symbolic, galois_object, param_var
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, power
 from .hopf import HopfPresentation, antipode, taft, en, trivial_hopf
 from .ncalg import AlgElement, Morphism, PresentedAlgebra, tensor_product
 
@@ -200,13 +201,15 @@ class FreeComodulePoly:
         return f"FreeComodulePoly({self.element})"
 
 
-def _evaluate(P: FreeComodulePoly, leaf_map, coeff_map=None):
+def _evaluate(P: FreeComodulePoly, leaf_map, coeff_map=None, mul=operator.mul):
     """P evaluated by the algebra map that sends each leaf element to leaf_map(leaf).
 
     Values may be elements of any algebra, or free polynomials again, and
     coeff_map, if given, rewrites the coefficient of each scalar multiple.
-    Nodes are memoised by identity, so a subtree the tree shares is computed
-    once, and the walk keeps its own stack, so depth costs no recursion.
+    mul forms every product and scalar multiple, and every power step of an
+    algebra element.  Nodes are memoised by identity, so a subtree the tree
+    shares is computed once, and the walk keeps its own stack, so depth costs
+    no recursion.
     """
     memo, stack = {}, [P]
     while stack:
@@ -223,9 +226,11 @@ def _evaluate(P: FreeComodulePoly, leaf_map, coeff_map=None):
         elif node.op == "sum":
             value = memo[id(first)] + memo[id(second)]
         elif node.op == "mul":
-            value = memo[id(first)] * memo[id(second)]
+            value = mul(memo[id(first)], memo[id(second)])
         elif node.op == "scale":
-            value = memo[id(first)] * (coeff_map(second) if coeff_map else second)
+            value = mul(memo[id(first)], coeff_map(second) if coeff_map else second)
+        elif isinstance(memo[id(first)], AlgElement):
+            value = power(memo[id(first)], second, memo[id(first)].algebra.one(), mul=mul)
         else:
             value = memo[id(first)] ** second
         memo[id(node)] = value
@@ -311,13 +316,33 @@ def _mu_image(T: PresentedAlgebra, A: ComoduleAlgebra, gid: int) -> AlgElement:
     return acc
 
 
+# mu forms a product by pairing every coefficient monomial of one factor with
+# every one of the other; a product, scalar multiple or power step that would
+# form more than MAX_MU_PAIRS pairs is refused before it is formed, which bounds
+# both its time and the size of the value it builds
+MAX_MU_PAIRS = 1 << 16
+
+
+def _monomials(v) -> int:
+    return len(v.terms) if isinstance(v, CommPoly) else sum(len(c.terms) for c in v.terms.values())
+
+
+def _bounded_mul(x: AlgElement, y) -> AlgElement:
+    m, k = _monomials(x), _monomials(y)
+    if m * k > MAX_MU_PAIRS:
+        raise ValueError(f"mu image bound: a product of {m} by {k} monomials would "
+                         f"form {m * k} monomial pairs, past {MAX_MU_PAIRS}")
+    return x * y
+
+
 def mu(P: FreeComodulePoly, A: ComoduleAlgebra) -> AlgElement:
     """The universal evaluation: X[i,h] -> sum t[i,h1] * u(h2) inside A.
 
     The result is an element of the object with coefficients in the
     parameters and the t variables; P is an identity for A exactly when the
     image is zero.  mu is an algebra map, so P's tree is evaluated in A with
-    each leaf sent through the generator images, and P is never expanded.
+    each leaf sent through the generator images, and P is never expanded;
+    each product is bounded by MAX_MU_PAIRS.
     """
     if A.hopf is not P.hopf:
         raise ValueError("object and polynomial live over different Hopf algebras")
@@ -328,7 +353,7 @@ def mu(P: FreeComodulePoly, A: ComoduleAlgebra) -> AlgElement:
     elif f.source.free_copies < P.copies:
         # more copies only append generators, which _mu_image maps from any T
         f.extend(T)
-    return _evaluate(P, lambda e: f(_lift(e, f.source)))
+    return _evaluate(P, lambda e: f(_lift(e, f.source)), mul=_bounded_mul)
 
 
 def is_identity(P: FreeComodulePoly, A: ComoduleAlgebra) -> bool:
@@ -585,7 +610,7 @@ def _rational_nth_root(fr: Fraction, n: int):
 
 
 def _a_class_note(A: ComoduleAlgebra, B: ComoduleAlgebra) -> str:
-    n = A.spec.n if A.spec.family == "taft" else 2
+    n = A.hopf.algebra.order
     va, vb = A.spec.value("a"), B.spec.value("a")
     if isinstance(va, Symbolic) or isinstance(vb, Symbolic):
         if va == vb:

@@ -190,16 +190,7 @@ class PresentedAlgebra:
                 for g in range(ngens):
                     cand = w + (g,)
                     # w is already normal, so a redex can only end at the tail
-                    lo = max(0, len(cand) - self._max_lhs)
-                    ok = True
-                    for pos in range(lo, len(cand)):
-                        for rule in self._rules_by_first.get(cand[pos], ()):
-                            if cand[pos:] == rule.lhs:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
+                    if self.find_redex(cand[max(0, len(cand) - self._max_lhs):]) is None:
                         nxt.append(cand)
             out.extend(nxt)
             if len(out) > limit:

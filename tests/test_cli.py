@@ -319,6 +319,17 @@ def test_wide_free_power_is_not_expanded():
     assert proc.stdout.startswith("mu image in A(taft:2;a=1;c=0): (660*t[1,1]^2*t[1,x]*t[1,y]^9 + ")
 
 
+def test_wide_free_power_past_the_mu_bound_exits_2():
+    # (E+X+Y+X[2,1]+X[2,x])^40 has coefficients of degree 40 in five t variables
+    start = time.perf_counter()
+    proc = _child("mu", "--object", "taft:2;a=1;c=0", "(E+X+Y+X[2,1]+X[2,x])^40", timeout=30)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: mu image bound: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_taft_pc_verified_at_n_20(capsys):
     code, out, _ = run(capsys, "verify", "--object", "taft:20;a=sym;c=sym", "taft_pc")
     assert code == 0

@@ -12,10 +12,11 @@ from hopfid.comodule import (
     en_object_spec,
     galois_map_bijective,
     galois_object,
+    object_spec,
     taft_object_spec,
 )
 from hopfid.cyclotomic import CyclotomicNumber
-from hopfid.hopf import coproduct, en, taft
+from hopfid.hopf import coproduct, en, family_hopf, taft
 from hopfid.ncalg import Morphism, embed
 
 
@@ -222,3 +223,31 @@ def test_spec_value_lookup_errors():
         spec.value("d1,2")
     spec2 = en_object_spec(2)
     assert isinstance(spec2.value("d1,2"), Symbolic)
+
+
+def test_spec_builder_is_behind_both_family_functions():
+    assert taft_object_spec(3, a=2) == object_spec("taft", 3, {"a": 2})
+    assert en_object_spec(3, c={2: 1}, d={(1, 3): 0}) == object_spec("en", 3, {"c2": 1, "d1,3": 0})
+    assert en_object_spec(2, c=[5]) == object_spec("en", 2, {"c1": 5})
+    assert object_spec("en", 2).hopf() is en(2) is family_hopf("en", 2)
+    assert object_spec("taft", 4).hopf() is taft(4)
+    with pytest.raises(ValueError, match="unknown family"):
+        object_spec("sweedler", 2)
+    with pytest.raises(ValueError, match="invertible"):
+        object_spec("en", 1, {"a": 0})
+    with pytest.raises(ValueError, match="cyclotomic order 3, need 2"):
+        object_spec("en", 1, {"c1": CyclotomicNumber.zeta(3)})
+
+
+def test_symbolic_keys_and_priming_apart():
+    first = en_object_spec(2, a=1, c=[Symbolic(), 0], d={(1, 2): Symbolic(1)})
+    assert first.symbolic_keys() == ["c1", "d1,2"]
+    assert not first.is_numeric()
+    second = en_object_spec(2, a=Symbolic(), c=[Symbolic(1), Symbolic()], d={(1, 2): 2})
+    primed = second.primed_apart(first)
+    # only values that collide with a symbolic value of first move, each to its next free prime
+    assert primed.render() == "en:2;a=sym;c1=sym';c2=sym;d1,2=2"
+    third = en_object_spec(2, a=1, c=[Symbolic(), Symbolic(1)], d={(1, 2): 0})
+    assert third.primed_apart(en_object_spec(2)).render() == "en:2;a=1;c1=sym';c2=sym';d1,2=0"
+    # a numeric a in self stays numeric whatever other's a is
+    assert third.primed_apart(object_spec("en", 2, {"a": 1})) == third.primed_apart(en_object_spec(2))

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from hopfid.commpoly import CommPoly, ParamVar, TVar
-from hopfid.comodule import Symbolic, en_object_spec, galois_object, taft_object_spec
+from hopfid.comodule import Symbolic, en_object_spec, galois_object, object_spec, taft_object_spec
 from hopfid.cyclotomic import CyclotomicNumber
 from hopfid.hopf import en, taft, trivial_hopf
+from hopfid.exprparse import parse_expression
 from hopfid.identities import (
+    MAX_MU_PAIRS,
     Distinguished,
     FreeComodulePoly,
     Isomorphic,
@@ -553,3 +555,26 @@ def test_distinguish_rejects_family_mismatch():
     B = galois_object(en_object_spec(1, a=1, c=[0]))
     with pytest.raises(ValueError):
         distinguish(A, B)
+
+
+def test_mu_refuses_a_product_past_the_pair_bound():
+    A = galois_object(taft_object_spec(2, a=1, c=0))
+    base = parse_expression("E+X+Y+X[2,1]+X[2,x]", A.hopf)
+    # base^8 has 655 monomials: 86 * 86 pairs for its last square
+    assert not mu(base**8, A).is_zero()
+    # base^16 would square base^8, so it is refused before that square is formed
+    for P in (base**16, base**40, base**8 * base**8):
+        with pytest.raises(ValueError, match=f"655 by 655 monomials .* past {MAX_MU_PAIRS}"):
+            mu(P, A)
+    # a scalar multiple pairs the coefficient's monomials with the element's
+    scalar = parse_expression("(a+1)^255", A.algebra)
+    with pytest.raises(ValueError, match=f"655 by 256 monomials .* past {MAX_MU_PAIRS}"):
+        mu(base**8 * scalar.coefficient(()), A)
+
+
+def test_mu_bound_leaves_room_for_the_catalogs():
+    # the catalog verdicts stay far from the bound at every size tier-1 reaches
+    for H in [taft(n) for n in range(2, 9)] + [en(n) for n in range(1, 5)]:
+        A = galois_object(object_spec(H.family, H.n))
+        for _, P in catalog(H):
+            assert mu(bind_to_object(P, A), A).is_zero()

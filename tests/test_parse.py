@@ -1,9 +1,12 @@
 """Parser tests: expressions in both contexts, family specs, object specs."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from hopfid.commpoly import CommPoly, ParamVar
-from hopfid.comodule import Symbolic, galois_object, taft_object_spec
+from hopfid.comodule import Symbolic, galois_object, object_spec, taft_object_spec
 from hopfid.cyclotomic import CyclotomicNumber, primitive_root
 from hopfid.exprparse import (
     DEFAULT_FREE_DEGREE,
@@ -394,6 +397,10 @@ def test_parse_object_spec_rejections():
         parse_object_spec("en:2;c3=0")
     with pytest.raises(ParseError, match="duplicate"):
         parse_object_spec("taft:2;a=1;a=2")
+    # a key is compared in its canonical form: d12 is d1,2 and c01 is c1
+    for text in ("en:2;d12=1;d1,2=0", "en:2;c1=0;c01=1", "en:2;d1,2=1;d01,2=0"):
+        with pytest.raises(ParseError, match="duplicate parameter"):
+            parse_object_spec(text)
     with pytest.raises(ParseError, match="unknown Taft parameters"):
         parse_object_spec("taft:2;c1=0")
     with pytest.raises(ParseError, match="unknown E"):
@@ -410,6 +417,53 @@ def test_parse_object_spec_rejections():
         parse_object_spec("  ")
     with pytest.raises(ParseError, match="needs n >= 2"):
         parse_object_spec("taft:1;a=1")
+
+
+_SPEC_FAMILIES = [("taft", n) for n in range(2, 6)] + [("en", n) for n in range(1, 5)]
+
+
+def _spec_keys(family, n):
+    if family == "taft":
+        return ["a", "c"]
+    pairs = [f"d{i},{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return ["a"] + [f"c{i}" for i in range(1, n + 1)] + pairs
+
+
+@pytest.mark.parametrize("family, n", _SPEC_FAMILIES)
+def test_object_spec_round_trip(family, n):
+    rng = random.Random(f"{family}:{n}")
+    order = n if family == "taft" else 2
+    z = CyclotomicNumber.zeta(order)
+    numbers = [0, 1, -2, Fraction(3, 2), z, z + 1]
+    keys = _spec_keys(family, n)
+    for _ in range(20):
+        chosen = rng.sample(keys, rng.randrange(len(keys) + 1))
+        values = {}
+        for key in chosen:
+            values[key] = rng.choice(numbers + [Symbolic(), Symbolic(1)])
+            if key == "a" and values[key] == 0:
+                values[key] = Symbolic(1)
+        spec = object_spec(family, n, values)
+        assert parse_object_spec(spec.render()) == spec
+        assert set(spec.keys()) == set(keys)
+        assert all(spec.value(k) == Symbolic() for k in keys if k not in values)
+        parts = [f"{family}:{n}"]
+        for key, value in values.items():
+            if key.startswith("d") and rng.random() < 0.5:
+                key = key.replace(",", "")  # the d<ij> alias
+            shown = "sym" + "'" * value.prime if isinstance(value, Symbolic) else str(value)
+            parts.append(f"{key}={shown}")
+        assert object_spec(family, n, values) == parse_object_spec(";".join(parts))
+
+
+@pytest.mark.parametrize("family, n", _SPEC_FAMILIES)
+def test_object_spec_refuses_non_canonical_keys(family, n):
+    for key in ["c0", f"c{n + 1}", "d1,1", f"d{n},{n}", "d2,1", f"d{n + 1},{n}", "b"]:
+        with pytest.raises(ValueError) as err:
+            object_spec(family, n, {key: 1})
+        assert not isinstance(err.value, ParseError)
+        with pytest.raises(ParseError):
+            parse_object_spec(f"{family}:{n};{key}=1")
 
 
 def test_parse_matrix_spec():
