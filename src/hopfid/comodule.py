@@ -24,7 +24,7 @@ from .cyclotomic import CyclotomicNumber
 from .hopf import HopfPresentation, check_coaction_laws, coaction_images
 from .hopf import family_hopf, family_relations, relation_failures
 from .linalg import kernel_basis, rank
-from .ncalg import AlgElement, Morphism, PresentedAlgebra, tensor_product
+from .ncalg import AlgElement, Morphism, PresentedAlgebra, embed, tensor_product
 
 __all__ = [
     "Symbolic",
@@ -240,12 +240,9 @@ def coinvariants(A: ComoduleAlgebra):
     basis = A.algebra.basis()
     rows = {}  # tensor word -> sparse row over the basis columns
     for j, w in enumerate(basis):
-        col = {tw: c.constant_value() for tw, c in A.coaction_word(w).terms.items()}
-        # subtract w tensor 1 (the object word embeds with unchanged indices);
-        # a zero entry left here is dropped by kernel_basis
-        col[w] = col.get(w, CyclotomicNumber.zero(order)) - CyclotomicNumber.one(order)
-        for tw, val in col.items():
-            rows.setdefault(tw, {})[j] = val
+        fixed = A.coaction_word(w) - embed(A.algebra.normal_form_word(w), A.tensor, 0)
+        for tw, c in fixed.terms.items():
+            rows.setdefault(tw, {})[j] = c.constant_value()
     vectors = kernel_basis(list(rows.values()), len(basis), order)
     out = []
     for vec in vectors:
@@ -265,12 +262,11 @@ def galois_map_bijective(A: ComoduleAlgebra) -> bool:
     exact rank; needs numeric parameters.
     """
     _require_numeric(A, "the Galois map test")
-    order = A.algebra.order
     basis = A.algebra.basis()
     dim = len(basis)
     rows = {}  # tensor word -> sparse row over the product-basis columns
     for i, w1 in enumerate(basis):
-        left = AlgElement(A.tensor, {w1: CommPoly.one(order)})
+        left = embed(A.algebra.normal_form_word(w1), A.tensor, 0)
         for j, w2 in enumerate(basis):
             for tw, c in (left * A.coaction_word(w2)).terms.items():
                 rows.setdefault(tw, {})[i * dim + j] = c.constant_value()
@@ -311,10 +307,11 @@ def check_comodule(A: ComoduleAlgebra) -> ComoduleReport:
     failures += check_coaction_laws(
         H, A.tensor, A.coaction_word, "coaction coassociativity", "coaction counit law"
     )
-    # u is the identity on words, and A tensor H numbers its generators as
-    # H tensor H does, so (u x id)Delta(h) has the words of Delta(h)
+    # u is the identity on words, so (u x id)Delta(h) has the subwords of Delta(h)
     for h in H.basis():
-        if A.coaction_word(h) != AlgElement(A.tensor, H.coproduct_word(h).terms):
+        terms = H.coproduct_word(h).terms.items()
+        u_id = {A.tensor.join(*H.square.split_word(w)): c for w, c in terms}
+        if A.coaction_word(h) != AlgElement(A.tensor, u_id):
             name = H.algebra.render_word(h)
             failures.append(f"section does not intertwine the coactions on {name}")
     return ComoduleReport(A.name, tuple(failures))

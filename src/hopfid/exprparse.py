@@ -177,14 +177,19 @@ class _Parser:
     def _guard(self, operands, k, tok):
         """Refuse the k-th power of the product of operands past the degree limit.
         A free polynomial's static bound is tried first, and the exact degree,
-        which expands it, only when that bound passes the limit."""
+        which expands it under mu's pair bound, only when that bound passes the limit."""
         limit, note = self.ctx.max_degree, ""
         if limit is None and self.ctx.mode == "free":
             limit, note = DEFAULT_FREE_DEGREE, " (the default for free expressions)"
-        bounds = (v.degree() if isinstance(v, AlgElement) else v.degree_bound for v in operands)
+        bounds = [v.degree() if isinstance(v, AlgElement) else v.degree_bound for v in operands]
         if limit is None or k * sum(bounds) <= limit:
             return
-        degree = k * sum(v.degree() for v in operands)
+        try:
+            degree = k * sum(v.degree() if isinstance(v, AlgElement) else v.bounded_degree()
+                             for v in operands)
+        except ValueError as err:
+            self.fail(f"expansion guard: degree up to {k * sum(bounds)} exceeds --max-degree "
+                      f"{limit}{note}, and its exact degree is past the {err}", tok)
         if degree > limit:
             self.fail(f"expansion guard: degree {degree} exceeds --max-degree {limit}{note}", tok)
 

@@ -137,10 +137,10 @@ def coaction_images(tensor) -> tuple:
     Generator 0 of both factors is x, the others y1..yk.  With M = H these
     are the coproduct on generators; with M a family object, its coaction.
     """
-    ng = len(tensor.tensor_factors[0].generators)
-    one = CommPoly.one(tensor.order)
-    return (AlgElement(tensor, {(0, ng): one}),) + tuple(
-        AlgElement(tensor, {(ng + i,): one, (i, ng): one}) for i in range(1, ng)
+    one, join = CommPoly.one(tensor.order), tensor.join
+    return (AlgElement(tensor, {join((0,), (0,)): one}),) + tuple(
+        AlgElement(tensor, {join((), (i,)): one, join((i,), (0,)): one})
+        for i in range(1, len(tensor.tensor_factors[0].generators))
     )
 
 
@@ -253,8 +253,6 @@ def check_coaction_laws(
     counit_law followed by " fails on" and the generator.
     """
     alg = tensor.tensor_factors[0]
-    ngM = len(alg.generators)
-    ngH = len(H.algebra.generators)
     triple = tensor_product(alg, H.algebra, H.algebra)
     failures = relation_failures("coproduct", H.coproduct_map)
     failures += relation_failures("counit", H.counit_map)
@@ -265,10 +263,10 @@ def check_coaction_laws(
         for w, c in coaction_word((i,)).terms.items():
             wm, wh = tensor.split_word(w)
             for w2, c2 in coaction_word(wm).terms.items():
-                key = w2 + tuple(g + ngM + ngH for g in wh)
+                key = triple.join(*tensor.split_word(w2), wh)
                 lhs_acc[key] = lhs_acc.get(key, 0) + c * c2
             for w2, c2 in H.coproduct_word(wh).terms.items():
-                key = wm + tuple(g + ngM for g in w2)
+                key = triple.join(wm, *H.square.split_word(w2))
                 rhs_acc[key] = rhs_acc.get(key, 0) + c * c2
             counit_acc = counit_acc + alg.element({wm: c * H.counit_word(wh)})
         if AlgElement(triple, lhs_acc) != AlgElement(triple, rhs_acc):

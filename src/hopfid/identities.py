@@ -22,7 +22,7 @@ from .commpoly import CommPoly, ParamVar, TVar
 from .comodule import ComoduleAlgebra, Symbolic, galois_object, param_var
 from .cyclotomic import CyclotomicNumber, power
 from .hopf import HopfPresentation, antipode, taft, en, trivial_hopf
-from .ncalg import AlgElement, Morphism, PresentedAlgebra, tensor_product
+from .ncalg import AlgElement, Morphism, PresentedAlgebra, embed, tensor_product
 
 __all__ = [
     "FreeComodulePoly",
@@ -183,6 +183,11 @@ class FreeComodulePoly:
     def degree(self) -> int:
         return self.element.degree()
 
+    def bounded_degree(self) -> int:
+        """degree(), expanding as mu multiplies: a ValueError past MAX_MU_PAIRS."""
+        T = free_algebra(self.hopf, self.copies)
+        return _evaluate(self, lambda e: _lift(e, T), mul=_bounded_mul).degree()
+
     def homogeneous_components(self):
         """Split by X-degree; the grading gives every generator degree one."""
         buckets: dict = {}
@@ -278,12 +283,11 @@ def t_var(H: HopfPresentation, i: int, h) -> CommPoly:
 def _t_coaction_image(T: PresentedAlgebra, TH: PresentedAlgebra, gid: int):
     """X[i,h] -> sum X[i,h1] tensor h2."""
     H = T.free_hopf
-    ng = len(T.generators)
     i, r = _gen_meta(T, gid)
     acc = {}
     for w, c in H.coproduct_word(H.basis()[r]).terms.items():
         u, v = H.square.split_word(w)
-        key = (_gen_id(T, i, H.basis_index(u)),) + tuple(g + ng for g in v)
+        key = TH.join((_gen_id(T, i, H.basis_index(u)),), v)
         acc[key] = acc.get(key, CommPoly.zero(T.order)) + c
     return AlgElement(TH, acc)
 
@@ -301,8 +305,7 @@ def t_coaction(P: FreeComodulePoly) -> AlgElement:
 def is_coinvariant(P: FreeComodulePoly) -> bool:
     """Whether the coaction fixes P, i.e. sends it to P tensor 1."""
     image = t_coaction(P)
-    # words of T embed into T tensor H unchanged
-    return image == AlgElement(image.algebra, dict(P.element.terms))
+    return image == embed(P.element, image.algebra, 0)
 
 
 def _mu_image(T: PresentedAlgebra, A: ComoduleAlgebra, gid: int) -> AlgElement:
@@ -436,37 +439,31 @@ def bind_to_object(P: FreeComodulePoly, A: ComoduleAlgebra) -> FreeComodulePoly:
     return _evaluate(P, leaf, lambda c: c.specialize(assignment))
 
 
+def _coinvariant_core(hs, refusal) -> FreeComodulePoly:
+    """X[1,h¹₍₁₎]…X[1,hᵏ₍₁₎] X[1,S(h¹₍₂₎…hᵏ₍₂₎)] for hs = (h¹, …, hᵏ), linear in each."""
+    H = getattr(hs[0].algebra, "hopf", None)
+    if H is None or any(h.algebra is not hs[0].algebra for h in hs):
+        raise ValueError(refusal)
+    alg = H.algebra
+    halves = [[(H.square.split_word(sw), c * sc) for w, c in h.terms.items()
+               for sw, sc in H.coproduct_word(w).terms.items()] for h in hs]
+    out = FreeComodulePoly.zero(H)
+    for ((u, v), c), *rest in itertools.product(*halves):
+        core = x_symbol(1, alg.element({u: 1}))
+        for (u, w), c2 in rest:
+            core, v, c = core * x_symbol(1, alg.element({u: 1})), v + w, c * c2
+        out = out + core * x_symbol(1, antipode(H, alg.normal_form_word(v))) * c
+    return out
+
+
 def coinvariant_P(h: AlgElement) -> FreeComodulePoly:
     """The coinvariant element P_h = X[1,h1] X[1,S(h2)]."""
-    H = getattr(h.algebra, "hopf", None)
-    if H is None:
-        raise ValueError("coinvariant_P needs an element of a Hopf algebra")
-    out = FreeComodulePoly.zero(H)
-    for w, c in h.terms.items():
-        for sw, sc in H.coproduct_word(w).terms.items():
-            u, v = H.square.split_word(sw)
-            left = x_symbol(1, H.algebra.element({u: 1}))
-            out = out + left * x_symbol(1, H.antipode_word(v)) * (c * sc)
-    return out
+    return _coinvariant_core((h,), "coinvariant_P needs an element of a Hopf algebra")
 
 
 def coinvariant_Q(h: AlgElement, h2: AlgElement) -> FreeComodulePoly:
     """The coinvariant element Q_{h,h'} = X[1,h1] X[1,h'1] X[1,S(h2 h'2)]."""
-    H = getattr(h.algebra, "hopf", None)
-    if H is None or h2.algebra is not h.algebra:
-        raise ValueError("coinvariant_Q needs two elements of one Hopf algebra")
-    alg = H.algebra
-    out = FreeComodulePoly.zero(H)
-    for w, c in h.terms.items():
-        for w2, c2 in h2.terms.items():
-            for sw, sc in H.coproduct_word(w).terms.items():
-                u, v = H.square.split_word(sw)
-                for sw2, sc2 in H.coproduct_word(w2).terms.items():
-                    u2, v2 = H.square.split_word(sw2)
-                    s_part = antipode(H, alg.normal_form_word(v + v2))
-                    piece = x_symbol(1, alg.element({u: 1})) * x_symbol(1, alg.element({u2: 1}))
-                    out = out + piece * x_symbol(1, s_part) * (c * c2 * sc * sc2)
-    return out
+    return _coinvariant_core((h, h2), "coinvariant_Q needs two elements of one Hopf algebra")
 
 
 def commutator_identity(core: FreeComodulePoly, z: AlgElement) -> FreeComodulePoly:

@@ -6,11 +6,14 @@ tuples of generator indices; the term order is degree-then-lexicographic in
 the generator order, and every rule must strictly decrease it, which makes
 reduction terminate.  Confluence is *checked*, not completed: the rule sets
 shipped here are supplied in already-confluent form and check_confluence
-verifies all overlap ambiguities by double reduction.
+verifies all overlap ambiguities by double reduction.  A tensor product has
+no rules of its own and reduces factor by factor; only split_word and join
+know how its words lay out the factors' words.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,12 +66,9 @@ class PresentedAlgebra:
         self.tensor_factors = tensor_factors
         self.factor_offsets = None
         if tensor_factors is not None:
-            offsets = []
-            base = 0
-            for f in tensor_factors:
-                offsets.append(base)
-                base += len(f.generators)
-            self.factor_offsets = tuple(offsets)
+            sizes = [len(f.generators) for f in tensor_factors]
+            self.factor_offsets = tuple(itertools.accumulate([0] + sizes[:-1]))
+            self._letters = [(k, g) for k, n in enumerate(sizes) for g in range(n)]
         self._gen_index = {g: i for i, g in enumerate(self.generators)}
         if len(self._gen_index) != len(self.generators):
             raise ValueError("generator names must be distinct")
@@ -142,16 +142,30 @@ class PresentedAlgebra:
         return None
 
     def is_normal(self, word) -> bool:
-        return self.find_redex(word) is None
+        # rules decrease the term order, so a reducible word is not in its normal form
+        return tuple(word) in self.normal_form_word(word).terms
 
     def normal_form_word(self, word) -> AlgElement:
-        """The normal form of a single word, with coefficient one.  Cached."""
+        """The normal form of a single word, with coefficient one.  Cached.
+
+        A tensor product reduces each factor's subword in that factor and
+        joins the results (its normal words, by Bergman's diamond lemma)."""
         word = tuple(word)
         hit = self._nf_cache.get(word)
         if hit is not None:
             return hit
         acc = {}
         stack = [(word, self._one_poly)]
+        if self.tensor_factors is not None:  # no rules: nothing is left to rewrite
+            one = self._one_poly
+            terms = [((), one)]  # (the reduced subwords so far, their coefficient)
+            for factor, part in zip(self.tensor_factors, self.split_word(word)):
+                nf = factor.normal_form_word(part).terms.items()
+                # only a normal part is in its normal form, as itself; products by one are skipped
+                terms = [(done + (w,), c if w == part else fc if c is one else c * fc)
+                         for done, c in terms for w, fc in nf]
+            acc = {self.join(*done): c for done, c in terms}
+            stack = []
         while stack:
             w, c = stack.pop()
             if w != word:
@@ -183,8 +197,13 @@ class PresentedAlgebra:
             return self._basis_cache
         out = [()]
         level = [()]
+        if self.tensor_factors is not None:
+            parts = itertools.product(*(f.basis(limit) for f in self.tensor_factors))
+            out = sorted(itertools.starmap(self.join, itertools.islice(parts, limit + 1)),
+                         key=deglex_key)
+            level = []
         ngens = len(self.generators)
-        while level:
+        while level and len(out) <= limit:
             nxt = []
             for w in level:
                 for g in range(ngens):
@@ -193,12 +212,12 @@ class PresentedAlgebra:
                     if self.find_redex(cand[max(0, len(cand) - self._max_lhs):]) is None:
                         nxt.append(cand)
             out.extend(nxt)
-            if len(out) > limit:
-                raise ValueError(
-                    f"{self.name}: more than {limit} normal words; "
-                    "is this algebra finite dimensional?"
-                )
             level = nxt
+        if len(out) > limit:
+            raise ValueError(
+                f"{self.name}: more than {limit} normal words; "
+                "is this algebra finite dimensional?"
+            )
         self._basis_cache = tuple(out)
         return self._basis_cache
 
@@ -206,10 +225,8 @@ class PresentedAlgebra:
 
     def render_word(self, word) -> str:
         if self.tensor_factors is not None:
-            parts = []
-            for sub, factor in zip(self.split_word(word), self.tensor_factors):
-                parts.append(factor.render_word(sub))
-            return "⊗".join(parts)
+            parts = zip(self.tensor_factors, self.split_word(word))
+            return "⊗".join(f.render_word(sub) for f, sub in parts)
         if not word:
             return "1"
         runs = []
@@ -225,17 +242,18 @@ class PresentedAlgebra:
 
     def split_word(self, word):
         """Partition a tensor-product word into per-factor subwords."""
-        offsets = self.factor_offsets
-        if offsets is None:
+        if self.tensor_factors is None:
             raise ValueError(f"{self.name} is not a tensor product")
-        bounds = list(offsets[1:]) + [len(self.generators)]
-        parts = [[] for _ in offsets]
-        for g in word:
-            for k in range(len(offsets) - 1, -1, -1):
-                if g >= offsets[k]:
-                    parts[k].append(g - offsets[k])
-                    break
-        return tuple(tuple(p) for p in parts)
+        parts = [[] for _ in self.tensor_factors]
+        for k, local in map(self._letters.__getitem__, word):
+            parts[k].append(local)
+        return tuple(map(tuple, parts))
+
+    def join(self, *parts) -> Word:
+        """The tensor-product word of one subword per factor; inverts split_word."""
+        if self.tensor_factors is None or len(parts) != len(self.tensor_factors):
+            raise ValueError(f"{self.name} is not a tensor product of {len(parts)} factors")
+        return tuple([g + off for part, off in zip(parts, self.factor_offsets) for g in part])
 
     def __repr__(self):
         return f"PresentedAlgebra({self.name})"
@@ -458,12 +476,12 @@ class Morphism:
 
 @lru_cache(maxsize=None)
 def tensor_product(*factors) -> PresentedAlgebra:
-    """The tensor product algebra with factor-wise rules and cross commutation.
+    """The tensor product algebra; it reduces factor by factor.
 
     Generators are the factors' generators laid out block by block, left
-    factors first; normal words therefore sort every left-factor letter in
-    front of every right-factor letter, and the cross rule (1 x g)(h x 1) ->
-    (h x 1)(1 x g) is strictly decreasing.
+    factors first, and a normal word is the join of one normal word per
+    factor.  The product has no rules of its own: normal_form_word reduces
+    each factor's subword in that factor.
     """
     if not factors:
         raise ValueError("tensor product needs at least one factor")
@@ -471,31 +489,9 @@ def tensor_product(*factors) -> PresentedAlgebra:
     for f in factors:
         if f.order != order:
             raise ValueError("tensor factors must share a cyclotomic order")
-    gens = []
-    offsets = []
-    for k, f in enumerate(factors):
-        offsets.append(len(gens))
-        gens.extend(f"{g}@{k}" for g in f.generators)
-    rules = []
-    for k, f in enumerate(factors):
-        off = offsets[k]
-        for r in f.rules:
-            rules.append(
-                RewriteRule(
-                    tuple(g + off for g in r.lhs),
-                    [(tuple(g + off for g in w), c) for w, c in r.rhs],
-                )
-            )
-    one = CommPoly.one(order)
-    for k2 in range(len(factors)):
-        for k1 in range(k2):
-            for g2 in range(len(factors[k2].generators)):
-                for g1 in range(len(factors[k1].generators)):
-                    hi = offsets[k2] + g2
-                    lo = offsets[k1] + g1
-                    rules.append(RewriteRule((hi, lo), [((lo, hi), one)]))
+    gens = [f"{g}@{k}" for k, f in enumerate(factors) for g in f.generators]
     name = " ⊗ ".join(f.name for f in factors)
-    return PresentedAlgebra(name, gens, order, rules, tensor_factors=tuple(factors))
+    return PresentedAlgebra(name, gens, order, (), tensor_factors=tuple(factors))
 
 
 def embed(elem: AlgElement, product: PresentedAlgebra, factor: int) -> AlgElement:
@@ -503,10 +499,8 @@ def embed(elem: AlgElement, product: PresentedAlgebra, factor: int) -> AlgElemen
     factors = product.tensor_factors
     if factors is None or elem.algebra is not factors[factor]:
         raise ValueError("element is not from the requested tensor factor")
-    off = product.factor_offsets[factor]
-    return AlgElement(
-        product, {tuple(g + off for g in w): c for w, c in elem.terms.items()}
-    )
+    before, after = ((),) * factor, ((),) * (len(factors) - factor - 1)
+    return AlgElement(product, {product.join(*before, w, *after): c for w, c in elem.terms.items()})
 
 
 # -- confluence ---------------------------------------------------------------

@@ -330,6 +330,25 @@ def test_wide_free_power_past_the_mu_bound_exits_2():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["mu", "--object", "taft:2;a=1;c=0", "((E+X+Y+X[2,1]+X[2,x])^12)^22"],
+    ["mu", "--max-degree", "20", "--object", "taft:2;a=1;c=0",
+     "((E+X+Y+X[2,1]+X[2,x])^12)^2"],
+])
+def test_exact_degree_past_the_mu_bound_exits_2(argv):
+    # the static degree bound passes the limit, so the guard wants the exact
+    # degree; unbounded, that expansion builds the 5^12 words of the inner power
+    start = time.perf_counter()
+    proc = _child(*argv, timeout=30)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: expansion guard: degree up to ")
+    assert "mu image bound" in proc.stderr
+    assert proc.stderr.count("error:") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_taft_pc_verified_at_n_20(capsys):
     code, out, _ = run(capsys, "verify", "--object", "taft:20;a=sym;c=sym", "taft_pc")
     assert code == 0
