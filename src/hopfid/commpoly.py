@@ -254,11 +254,6 @@ class CommPoly:
             raise ValueError(f"{self} is not constant")
         return self.terms[()]
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
-
     def variables(self):
         seen = set()
         for m in self.terms:

@@ -188,17 +188,6 @@ class FreeComodulePoly:
         T = free_algebra(self.hopf, self.copies)
         return _evaluate(self, lambda e: _lift(e, T), mul=_bounded_mul).degree()
 
-    def homogeneous_components(self):
-        """Split by X-degree; the grading gives every generator degree one."""
-        buckets: dict = {}
-        for w, c in self.element.terms.items():
-            buckets.setdefault(len(w), {})[w] = c
-        T = free_algebra(self.hopf, self.copies)
-        return {
-            deg: FreeComodulePoly(self.hopf, self.copies, AlgElement(T, terms))
-            for deg, terms in sorted(buckets.items())
-        }
-
     def __str__(self):
         return str(self.element)
 

@@ -17,7 +17,8 @@ from hopfid.comodule import (
 )
 from hopfid.cyclotomic import CyclotomicNumber
 from hopfid.hopf import coproduct, en, family_hopf, taft
-from hopfid.ncalg import Morphism, embed
+from hopfid.ncalg import AlgElement, Morphism, embed
+from test_galois_oracle import galois_map_by_elimination
 
 
 def test_taft_spec_construction():
@@ -25,10 +26,10 @@ def test_taft_spec_construction():
     assert spec.family == "taft"
     assert spec.n == 3
     assert spec.value("a") == CyclotomicNumber.one(3)
-    assert spec.is_numeric()
+    assert not spec.symbolic_keys()
     assert spec.render() == "taft:3;a=1;c=0"
     sym = taft_object_spec(3)
-    assert not sym.is_numeric()
+    assert sym.symbolic_keys() == ["a", "c"]
     assert sym.render() == "taft:3;a=sym;c=sym"
     primed = taft_object_spec(3, c=Symbolic(1))
     assert primed.render() == "taft:3;a=sym;c=sym'"
@@ -42,10 +43,10 @@ def test_taft_spec_rejects_zero_a():
 def test_en_spec_construction():
     spec = en_object_spec(2, a=1, c=[0, 1], d={(1, 2): 0})
     assert spec.render() == "en:2;a=1;c1=0;c2=1;d1,2=0"
-    assert spec.is_numeric()
+    assert not spec.symbolic_keys()
     # missing d values stay symbolic
     partial = en_object_spec(2, a=1, c=[0, 0])
-    assert not partial.is_numeric()
+    assert partial.symbolic_keys() == ["d1,2"]
 
 
 def test_en_spec_rejects_diagonal_d():
@@ -118,15 +119,19 @@ def test_coaction_wrong_algebra_rejected():
 def test_section_intertwines():
     A = galois_object(taft_object_spec(3))
     H = A.hopf
+
+    def section(h):  # u is the identity on words, so it copies h's terms
+        return AlgElement(A.algebra, h.terms)
+
     for w in H.basis():
-        u = A.section_element(H.algebra.element({w: 1}))
+        u = section(H.algebra.element({w: 1}))
         # u sends each basis word to the same word, normal in the object
         assert u == A.algebra.element({w: 1})
         lhs = coaction(A, u)
         rhs = A.tensor.zero()
         for sw, c in H.coproduct_word(w).terms.items():
             left, right = H.square.split_word(sw)
-            u_left = A.section_element(H.algebra.element({left: 1}))
+            u_left = section(H.algebra.element({left: 1}))
             h_right = H.algebra.element({right: 1})
             rhs = rhs + embed(u_left, A.tensor, 0) * embed(h_right, A.tensor, 1) * c
         assert lhs == rhs
@@ -193,8 +198,40 @@ def test_corrupted_coaction_is_not_galois():
     A = ComoduleAlgebra(taft_object_spec(2, a=1, c=0))
     images = (A.coaction_word((0,)), A.tensor.element({(1, 2): 1}))
     A.coaction_map = Morphism(A.algebra, A.tensor, images.__getitem__)
-    assert galois_map_bijective(A) is False
+    assert galois_map_by_elimination(A) is False
+    # the relations still hold, so the certificate names the generator it cannot invert
+    with pytest.raises(ValueError, match=r"family coaction: beta\(kappa\(y\)\) is not 1⊗y"):
+        galois_map_bijective(A)
     assert len(coinvariants(A)) == 2
+
+
+def test_galois_map_refuses_a_coaction_breaking_relations():
+    # y -> y (x) 1 + 1 (x) y sends y^2 = 0 to 2 y (x) y, so delta is no algebra map
+    A = ComoduleAlgebra(taft_object_spec(2, a=1, c=0))
+    images = (A.coaction_word((0,)), A.tensor.element({(1,): 1, (3,): 1}))
+    A.coaction_map = Morphism(A.algebra, A.tensor, images.__getitem__)
+    with pytest.raises(ValueError, match=r"needs an algebra map: coaction incompatible with relation y\^2$"):
+        galois_map_bijective(A)
+
+
+@pytest.mark.parametrize("spec", [
+    taft_object_spec(3, a=2),
+    taft_object_spec(8, a=2),
+    en_object_spec(2, a=3),
+], ids=str)
+def test_galois_map_bijective_for_every_c_and_d(spec):
+    assert spec.symbolic_keys() and "a" not in spec.symbolic_keys()
+    A = galois_object(spec)
+    assert galois_map_bijective(A) is True
+    # only the coinvariants still need every parameter numeric
+    with pytest.raises(ValueError, match="coinvariant computation needs numeric parameters"):
+        coinvariants(A)
+
+
+def test_galois_map_needs_a_numeric():
+    for spec in (taft_object_spec(2, c=1), en_object_spec(1, c=[0])):
+        with pytest.raises(ValueError, match="needs a numeric a; symbolic: a$"):
+            galois_map_bijective(galois_object(spec))
 
 
 def test_galois_object_cache():
@@ -242,7 +279,6 @@ def test_spec_builder_is_behind_both_family_functions():
 def test_symbolic_keys_and_priming_apart():
     first = en_object_spec(2, a=1, c=[Symbolic(), 0], d={(1, 2): Symbolic(1)})
     assert first.symbolic_keys() == ["c1", "d1,2"]
-    assert not first.is_numeric()
     second = en_object_spec(2, a=Symbolic(), c=[Symbolic(1), Symbolic()], d={(1, 2): 2})
     primed = second.primed_apart(first)
     # only values that collide with a symbolic value of first move, each to its next free prime

@@ -1,0 +1,46 @@
+"""The Galois map by exact elimination, kept as the oracle for the translation map.
+
+galois_map_by_elimination assembles the matrix of beta(a ⊗ b) = (a ⊗ 1)delta(b)
+on all dim^2 product words of basis words and computes its exact rank.
+galois_map_bijective proves the same verdict from the translation map with
+dim checks; on every numeric object below the two must agree.
+"""
+
+import pytest
+
+from hopfid.comodule import en_object_spec, galois_map_bijective, galois_object, taft_object_spec
+from hopfid.linalg import rank
+from hopfid.ncalg import embed
+
+
+def galois_map_by_elimination(A) -> bool:
+    """Whether beta is bijective: the rank of its dim^2-column matrix; numeric A only."""
+    basis = A.algebra.basis()
+    dim = len(basis)
+    rows = {}  # tensor word -> sparse row over the product-basis columns
+    for i, w1 in enumerate(basis):
+        left = embed(A.algebra.normal_form_word(w1), A.tensor, 0)
+        for j, w2 in enumerate(basis):
+            for tw, c in (left * A.coaction_word(w2)).terms.items():
+                rows.setdefault(tw, {})[i * dim + j] = c.constant_value()
+    assert len(rows) <= dim * dim, "tensor basis larger than expected"
+    return rank(list(rows.values())) == dim * dim
+
+
+TAFT_SPECS = [taft_object_spec(n, a=a, c=c) for n in range(2, 7) for a in (1, 2) for c in (0, 1)]
+EN_SPECS = [
+    en_object_spec(1, a=1, c=[1]),
+    en_object_spec(1, a=2, c=[0]),
+    en_object_spec(2, a=1, c=[1, 0], d={(1, 2): -1}),
+    en_object_spec(2, a=2, c=[0, 1], d={(1, 2): 0}),
+    en_object_spec(3, a=1, c=[1, -1, 0], d={(1, 2): 1, (1, 3): 0, (2, 3): 2}),
+    en_object_spec(3, a=-1, c=[0, 0, 0], d={(1, 2): 0, (1, 3): 0, (2, 3): 0}),
+    en_object_spec(4, a=1, c=[1, 0, -1, 2],
+                   d={(1, 2): 1, (1, 3): 0, (1, 4): -1, (2, 3): 0, (2, 4): 1, (3, 4): 0}),
+]
+
+
+@pytest.mark.parametrize("spec", TAFT_SPECS + EN_SPECS, ids=str)
+def test_certificate_agrees_with_elimination(spec):
+    A = galois_object(spec)
+    assert galois_map_bijective(A) is galois_map_by_elimination(A) is True
