@@ -159,7 +159,11 @@ def _cmd_verify(args, timings):
                 "standard:<m> verifies against a matrix target; "
                 "use --object matrix:<k>"
             )
-        m = int(name[len("standard:"):])
+        text = name[len("standard:"):]
+        try:
+            m = int(text)
+        except ValueError:
+            raise _Usage(f"standard:<m> needs an integer m; found {text!r}") from None
         start = time.perf_counter()
         found = matrix_identity_witness(m, spec.k)
         witness = found and _matrix_witness(m, *found)

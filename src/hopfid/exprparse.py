@@ -94,9 +94,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("INT", text[i:j], i))
             i = j
@@ -422,9 +422,9 @@ class _Parser:
         rest = name[1:]
         indices = ()
         if rest:
-            if tag == "c" and rest.isdigit():
+            if tag == "c" and rest.isdecimal():
                 indices = (int(rest),)
-            elif tag == "d" and rest.isdigit() and len(rest) == 2:
+            elif tag == "d" and rest.isdecimal() and len(rest) == 2:
                 indices = (int(rest[0]), int(rest[1]))
             else:
                 return None

@@ -16,7 +16,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .commpoly import CommPoly, ParamVar, TVar
 from .comodule import ComoduleAlgebra, Symbolic, galois_object, param_var
@@ -496,11 +495,14 @@ def matrix_identity_witness(m: int, k: int, budget: int = 5_000_000):
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
-    cost = (k * k) ** m * factorial(m)
-    if cost > budget:
-        raise ValueError(
-            f"matrix check needs about {cost} operations, over the budget {budget}"
-        )
+    cost = 1  # (k*k)^m * m!, built a factor at a time so a huge m stops early
+    for i in range(1, m + 1):
+        cost *= k * k * i
+        if cost > budget:
+            about = "about" if i == m else "more than"
+            raise ValueError(
+                f"matrix check needs {about} {cost} operations, over the budget {budget}"
+            )
     units = [(i, j) for i in range(k) for j in range(k)]
     perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(m))]
     for assign in itertools.product(units, repeat=m):

@@ -155,6 +155,14 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("m", ["x", "", "2.5"])
+def test_verify_standard_needs_an_integer(capsys, m):
+    code, out, err = run(capsys, "verify", "--object", "matrix:2", f"standard:{m}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: standard:<m> needs an integer m; found {m!r}\n"
+
+
 def test_distinguish_autoprimes_symbolic(capsys):
     code, out, _ = run(
         capsys, "distinguish", "taft:2;a=1;c=sym", "taft:2;a=1;c=sym"

@@ -1,9 +1,11 @@
-"""The Galois map by exact elimination, kept as the oracle for the translation map.
+"""The Galois map by exact elimination, kept as the oracle for the generator proof.
 
 galois_map_by_elimination assembles the matrix of beta(a ⊗ b) = (a ⊗ 1)delta(b)
 on all dim^2 product words of basis words and computes its exact rank.
-galois_map_bijective proves the same verdict from the translation map with
-dim checks; on every numeric object below the two must agree.
+galois_map_bijective proves the same verdict from beta(kappa(g)) = 1 ⊗ g on
+the generators g of H alone, kappa the translation map, since the h with
+1 ⊗ h in the image of beta form a subalgebra; on every numeric object below
+the two must agree.
 """
 
 import pytest

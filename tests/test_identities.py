@@ -409,6 +409,14 @@ def test_matrix_identity_witness():
         matrix_identity_witness(10, 4, budget=1000)
 
 
+def test_matrix_identity_witness_refuses_a_huge_m_at_once():
+    # the cost is built a factor at a time, so (k*k)^m * m! is never formed
+    with pytest.raises(ValueError, match="needs more than 82575360 operations, over the budget"):
+        matrix_identity_witness(10**20, 2)
+    with pytest.raises(ValueError, match="needs about 7085880 operations"):
+        matrix_identity_witness(5, 3)
+
+
 def test_substitute_endomorphism():
     H = taft(2)
     alg = H.algebra

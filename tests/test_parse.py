@@ -284,6 +284,11 @@ def test_parse_errors_carry_position():
     assert "position" in str(err.value)
     with pytest.raises(ParseError, match="unexpected character"):
         parse_expression("x @ y", alg)
+    # a digit int() cannot read is no INT token
+    with pytest.raises(ParseError, match=r"unexpected character '²' \(at position 1\)\n  2²\n   \^$"):
+        parse_expression("2²", alg)
+    with pytest.raises(ParseError, match="unknown symbol 'c²'"):
+        parse_expression("c² * X[1,x]", taft(2))
     with pytest.raises(ParseError, match="after expression"):
         parse_expression("x y", alg)
     with pytest.raises(ParseError, match=r"expected '\)'"):
