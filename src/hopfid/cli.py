@@ -98,7 +98,7 @@ def _cmd_coproduct(args, timings):
 def _cmd_mu(args, timings):
     spec = _galois_spec(args.object)
     A = galois_object(spec)
-    poly = parse_expression(args.expression, A.hopf, args.max_degree)
+    poly = bind_to_object(parse_expression(args.expression, A.hopf, args.max_degree), A)
     start = time.perf_counter()
     image = mu(poly, A)
     timings["mu"] = time.perf_counter() - start
@@ -111,16 +111,17 @@ def _cmd_mu(args, timings):
 
 
 def _named_identity(args, A):
-    """The polynomials whose mu images decide args.identity on A.
+    """The polynomials whose mu images decide args.identity on A, before
+    their parameters are bound to A's values.
 
-    A catalog name gives its template bound to A; coinv_P:<h> and
-    coinv_Q:<h>,<h'> give the core's commutators with X[2,z], one per basis
-    word z of H; any other text is parsed as one polynomial.
+    A catalog name gives its template; coinv_P:<h> and coinv_Q:<h>,<h'> give
+    the core's commutators with X[2,z], one per basis word z of H; any other
+    text is parsed as one polynomial.
     """
     name, H = args.identity.strip(), A.hopf
     for cat_name, template in catalog(H):
         if name == cat_name:
-            return [bind_to_object(template, A)]
+            return [template]
     if name.startswith("coinv_P:"):
         core = coinvariant_P(parse_expression(name[len("coinv_P:"):], H.algebra))
     elif name.startswith("coinv_Q:"):
@@ -174,7 +175,7 @@ def _cmd_verify(args, timings):
         A = galois_object(spec)
         polys = _named_identity(args, A)
         start = time.perf_counter()
-        images = (mu(poly, A) for poly in polys)
+        images = (mu(bind_to_object(poly, A), A) for poly in polys)
         witness = next((image for image in images if not image.is_zero()), None)
         where, label = f"for {A.name}", "witness mu-image"
         symbolic = spec.symbolic_keys()

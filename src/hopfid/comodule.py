@@ -196,8 +196,6 @@ class ComoduleAlgebra:
         for w in H.basis():
             if not alg.is_normal(w):
                 raise ValueError(f"section image {w} is not normal in {self.name}")
-        # identities.mu keeps its map from the free algebra T(X_H) here
-        self.mu_map = None
 
     def param_poly(self, key) -> CommPoly:
         """The value of a spec key: its variable if symbolic, else a constant."""

@@ -83,24 +83,19 @@ def field_degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def power(base, k, one, check=None, mul=operator.mul):
+def power(base, k, one, mul=operator.mul):
     """base ** k for k >= 0 by repeated squaring, starting from one.
 
     One product per set bit of k and one squaring between bits, none after
-    the top bit, each formed by mul.  check, if given, sees each square and
-    each partial product; either may raise to refuse the power.
+    the top bit, each formed by mul, which may raise to refuse the power.
     """
     result = one
     while k:
         if k & 1:
             result = mul(result, base)
-            if check:
-                check(result)
         k >>= 1
         if k:
             base = mul(base, base)
-            if check:
-                check(base)
     return result
 
 

@@ -185,8 +185,7 @@ class _Parser:
         if limit is None or k * sum(bounds) <= limit:
             return
         try:
-            degree = k * sum(v.degree() if isinstance(v, AlgElement) else v.bounded_degree()
-                             for v in operands)
+            degree = k * sum(v.degree() for v in operands)
         except ValueError as err:
             self.fail(f"expansion guard: degree up to {k * sum(bounds)} exceeds --max-degree "
                       f"{limit}{note}, and its exact degree is past the {err}", tok)
@@ -283,13 +282,15 @@ class _Parser:
         scalar = isinstance(base, CommPoly)
         noun = "scalar power" if scalar else "coefficient of a power"
 
-        def bounded(v):
+        def bounded(left, right):
+            v = left * right
             for poly in [v] if scalar else v.terms.values():
                 if len(poly.terms) > MAX_SCALAR_TERMS:
                     self.fail(f"{noun} exceeds {MAX_SCALAR_TERMS} terms", op)
                 for c in poly.terms.values():
                     if max(abs(x).bit_length() for x in c.num + (c.den,)) > MAX_SCALAR_BITS:
                         self.fail(f"{noun} exceeds {MAX_SCALAR_BITS} bits", op)
+            return v
 
         one = CommPoly.one(base.order) if scalar else base.algebra.one()
         return power(base, k, one, bounded)

@@ -12,7 +12,6 @@ target family symbolically.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -81,7 +80,8 @@ class FreeComodulePoly:
     polynomial and an exponent); degree_bound is a static upper bound on the
     degree.  mu and the coaction evaluate the tree in their own targets; the
     expanded element, which can be exponentially larger, is built on first
-    use of element, for printing, comparison and degree.
+    use of element, for printing, comparison and degree, under mu's pair
+    bound.
     """
 
     __slots__ = ("hopf", "copies", "op", "args", "degree_bound", "_element")
@@ -120,7 +120,7 @@ class FreeComodulePoly:
             if not isinstance(v, ParamVar):
                 raise ValueError(
                     "free comodule polynomial coefficients may only contain "
-                    f"structure parameters, not {v!r}"
+                    f"structure parameters, not {v.render()}"
                 )
         return poly
 
@@ -182,11 +182,6 @@ class FreeComodulePoly:
     def degree(self) -> int:
         return self.element.degree()
 
-    def bounded_degree(self) -> int:
-        """degree(), expanding as mu multiplies: a ValueError past MAX_MU_PAIRS."""
-        T = free_algebra(self.hopf, self.copies)
-        return _evaluate(self, lambda e: _lift(e, T), mul=_bounded_mul).degree()
-
     def __str__(self):
         return str(self.element)
 
@@ -194,15 +189,36 @@ class FreeComodulePoly:
         return f"FreeComodulePoly({self.element})"
 
 
-def _evaluate(P: FreeComodulePoly, leaf_map, coeff_map=None, mul=operator.mul):
+# a product of two algebra elements pairs every coefficient monomial of one
+# factor with every one of the other; a product, scalar multiple or power step
+# that would form more than MAX_MU_PAIRS pairs is refused before it is formed,
+# which bounds both its time and the size of the value it builds
+MAX_MU_PAIRS = 1 << 16
+
+
+def _monomials(v) -> int:
+    return len(v.terms) if isinstance(v, CommPoly) else sum(len(c.terms) for c in v.terms.values())
+
+
+def _bounded_mul(x, y):
+    if not isinstance(x, AlgElement):
+        return x * y
+    m, k = _monomials(x), _monomials(y)
+    if m * k > MAX_MU_PAIRS:
+        raise ValueError(f"mu image bound: a product of {m} by {k} monomials would "
+                         f"form {m * k} monomial pairs, past {MAX_MU_PAIRS}")
+    return x * y
+
+
+def _evaluate(P: FreeComodulePoly, leaf_map, coeff_map=None):
     """P evaluated by the algebra map that sends each leaf element to leaf_map(leaf).
 
-    Values may be elements of any algebra, or free polynomials again, and
-    coeff_map, if given, rewrites the coefficient of each scalar multiple.
-    mul forms every product and scalar multiple, and every power step of an
-    algebra element.  Nodes are memoised by identity, so a subtree the tree
-    shares is computed once, and the walk keeps its own stack, so depth costs
-    no recursion.
+    Values may be elements of any algebra, each product, scalar multiple and
+    power step of them bounded by MAX_MU_PAIRS, or free polynomials again,
+    which keep their tree.  coeff_map, if given, rewrites the coefficient of
+    each scalar multiple.  Nodes are memoised by identity, so a subtree the
+    tree shares is computed once, and the walk keeps its own stack, so depth
+    costs no recursion.
     """
     memo, stack = {}, [P]
     while stack:
@@ -219,11 +235,11 @@ def _evaluate(P: FreeComodulePoly, leaf_map, coeff_map=None, mul=operator.mul):
         elif node.op == "sum":
             value = memo[id(first)] + memo[id(second)]
         elif node.op == "mul":
-            value = mul(memo[id(first)], memo[id(second)])
+            value = _bounded_mul(memo[id(first)], memo[id(second)])
         elif node.op == "scale":
-            value = mul(memo[id(first)], coeff_map(second) if coeff_map else second)
+            value = _bounded_mul(memo[id(first)], coeff_map(second) if coeff_map else second)
         elif isinstance(memo[id(first)], AlgElement):
-            value = power(memo[id(first)], second, memo[id(first)].algebra.one(), mul=mul)
+            value = power(memo[id(first)], second, memo[id(first)].algebra.one(), _bounded_mul)
         else:
             value = memo[id(first)] ** second
         memo[id(node)] = value
@@ -245,12 +261,14 @@ def x_symbol(i: int, h: AlgElement) -> FreeComodulePoly:
     H = getattr(getattr(h, "algebra", None), "hopf", None)
     if H is None:
         raise ValueError("x_symbol needs an element of a Hopf algebra")
-    T = free_algebra(H, max(i, 1))
+    if i < 1:
+        raise ValueError(f"copy indices start at 1, not {i}")
+    T = free_algebra(H, i)
     terms = {}
     for w, c in h.terms.items():
         key = (_gen_id(T, i, H.basis_index(w)),)
-        terms[key] = terms.get(key, CommPoly.zero(T.order)) + c
-    return FreeComodulePoly(H, max(i, 1), AlgElement(T, terms))
+        terms[key] = terms.get(key, CommPoly.zero(T.order)) + FreeComodulePoly._check_coeff(c)
+    return FreeComodulePoly(H, i, AlgElement(T, terms))
 
 
 def t_var(H: HopfPresentation, i: int, h) -> CommPoly:
@@ -280,14 +298,16 @@ def _t_coaction_image(T: PresentedAlgebra, TH: PresentedAlgebra, gid: int):
     return AlgElement(TH, acc)
 
 
+@lru_cache(maxsize=None)
+def _t_coaction_map(T: PresentedAlgebra) -> Morphism:
+    TH = tensor_product(T, T.free_hopf.algebra)
+    return Morphism(T, TH, lambda gid: _t_coaction_image(T, TH, gid))
+
+
 def t_coaction(P: FreeComodulePoly) -> AlgElement:
     """The coaction of T(X_H), valued in T tensor H."""
-    T = free_algebra(P.hopf, P.copies)
-    delta = getattr(T, "coaction_map", None)
-    if delta is None:
-        TH = tensor_product(T, P.hopf.algebra)
-        T.coaction_map = delta = Morphism(T, TH, lambda g: _t_coaction_image(T, TH, g))
-    return _evaluate(P, lambda e: delta(_lift(e, T)))
+    delta = _t_coaction_map(free_algebra(P.hopf, P.copies))
+    return _evaluate(P, lambda e: delta(_lift(e, delta.source)))
 
 
 def is_coinvariant(P: FreeComodulePoly) -> bool:
@@ -307,23 +327,10 @@ def _mu_image(T: PresentedAlgebra, A: ComoduleAlgebra, gid: int) -> AlgElement:
     return acc
 
 
-# mu forms a product by pairing every coefficient monomial of one factor with
-# every one of the other; a product, scalar multiple or power step that would
-# form more than MAX_MU_PAIRS pairs is refused before it is formed, which bounds
-# both its time and the size of the value it builds
-MAX_MU_PAIRS = 1 << 16
-
-
-def _monomials(v) -> int:
-    return len(v.terms) if isinstance(v, CommPoly) else sum(len(c.terms) for c in v.terms.values())
-
-
-def _bounded_mul(x: AlgElement, y) -> AlgElement:
-    m, k = _monomials(x), _monomials(y)
-    if m * k > MAX_MU_PAIRS:
-        raise ValueError(f"mu image bound: a product of {m} by {k} monomials would "
-                         f"form {m * k} monomial pairs, past {MAX_MU_PAIRS}")
-    return x * y
+@lru_cache(maxsize=None)
+def _mu_map(A: ComoduleAlgebra, copies: int) -> Morphism:
+    T = free_algebra(A.hopf, copies)
+    return Morphism(T, A.algebra, lambda gid: _mu_image(T, A, gid))
 
 
 def mu(P: FreeComodulePoly, A: ComoduleAlgebra) -> AlgElement:
@@ -337,14 +344,8 @@ def mu(P: FreeComodulePoly, A: ComoduleAlgebra) -> AlgElement:
     """
     if A.hopf is not P.hopf:
         raise ValueError("object and polynomial live over different Hopf algebras")
-    T = free_algebra(P.hopf, P.copies)
-    f = A.mu_map
-    if f is None:
-        f = A.mu_map = Morphism(T, A.algebra, lambda gid: _mu_image(T, A, gid))
-    elif f.source.free_copies < P.copies:
-        # more copies only append generators, which _mu_image maps from any T
-        f.extend(T)
-    return _evaluate(P, lambda e: f(_lift(e, f.source)), mul=_bounded_mul)
+    f = _mu_map(A, P.copies)
+    return _evaluate(P, lambda e: f(_lift(e, f.source)))
 
 
 def is_identity(P: FreeComodulePoly, A: ComoduleAlgebra) -> bool:

@@ -417,12 +417,6 @@ class Morphism:
         self._gens = {}
         self._words = {(): target.one()}
 
-    def extend(self, source):
-        """Move to a larger source whose generators begin with ours; images stay."""
-        if source.generators[: len(self.source.generators)] != self.source.generators:
-            raise ValueError(f"{source.name} does not extend {self.source.name}")
-        self.source = source
-
     def generator(self, g) -> AlgElement:
         hit = self._gens.get(g)
         if hit is None:

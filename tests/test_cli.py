@@ -217,6 +217,33 @@ def test_catalog_json(capsys):
     assert entry["degree"] == 6
 
 
+def test_catalog_past_the_expansion_bound_exits_2(capsys):
+    # taft_pc of taft:17 would expand (YX - qXY)^17 into 2^17 words
+    code, out, err = run(capsys, "catalog", "--hopf", "taft:17")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: mu image bound: ")
+    assert err.count("\n") == 1
+
+
+def test_free_symbol_with_a_t_coefficient_exits_2(capsys):
+    code, out, err = run(capsys, "mu", "--object", "taft:2;a=1;c=0", "X[1,t[1,x]]")
+    assert (code, out) == (2, "")
+    assert err == ("error: free comodule polynomial coefficients may only contain "
+                   "structure parameters, not t[1,x]\n")
+
+
+def test_written_polynomials_bind_the_object_parameters(capsys):
+    pc = "(Y*X - q*X*Y)^2 - (1-q)^2*X^2*Y^2 + (1-q)^2*c*E^2*X^2"
+    for spec in ("taft:2;a=1;c=0", "taft:2;a=2;c=3", "taft:2;a=sym;c=sym"):
+        code, out, _ = run(capsys, "verify", "--object", spec, pc)
+        assert code == 0, (spec, out)
+    code, out, _ = run(capsys, "mu", "--object", "taft:2;a=2;c=3", "c*E")
+    assert (code, out) == (0, "mu image in A(taft:2;a=2;c=3): 3*t[1,1]\n")
+    # a is no catalog parameter: it stays a variable
+    code, out, _ = run(capsys, "mu", "--object", "taft:2;a=2;c=3", "a*E")
+    assert (code, out) == (0, "mu image in A(taft:2;a=2;c=3): a*t[1,1]\n")
+
+
 def test_selfcheck(capsys):
     code, out, _ = run(capsys, "selfcheck", "--hopf", "taft:2")
     assert code == 0

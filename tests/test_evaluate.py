@@ -2,7 +2,7 @@
 
 A FreeComodulePoly is an expression tree, and mu evaluates it in the object
 without expanding it in T(X_H).  The oracle here is the path mu took before:
-expand the polynomial, then apply the generator map A.mu_map word by word.
+expand the polynomial, then apply mu's generator map word by word.
 Normal forms are unique, so the two must agree exactly.
 """
 
@@ -18,6 +18,7 @@ from hopfid.hopf import en, taft
 from hopfid.identities import (
     FreeComodulePoly,
     _evaluate,
+    _mu_map,
     bind_to_object,
     catalog,
     coinvariant_P,
@@ -39,8 +40,7 @@ def obj(text):
 
 def expanded_mu(P, A):
     """mu of the expanded polynomial through the generator map."""
-    mu(FreeComodulePoly.zero(P.hopf, P.copies), A)  # the map now covers P's copies
-    f = A.mu_map
+    f = _mu_map(A, P.copies)
     return f(AlgElement(f.source, P.element.terms))
 
 

@@ -68,6 +68,22 @@ def test_x_symbol_linearity():
         x_symbol(1, CommPoly.one(2))
 
 
+def test_x_symbol_refuses_copy_indices_below_one():
+    alg = taft(2).algebra
+    for i, g in ((0, "x"), (-1, "y")):
+        with pytest.raises(ValueError, match=f"copy indices start at 1, not {i}$"):
+            x_symbol(i, alg.gen(g))
+
+
+def test_x_symbol_takes_structure_parameters_only():
+    H = taft(2)
+    c = CommPoly.variable(2, ParamVar("c"))
+    assert str(x_symbol(1, H.algebra.gen("x") * c)) == "c*X[1,x]"
+    t = t_var(H, 1, H.algebra.gen("x"))
+    with pytest.raises(ValueError, match=r"structure parameters, not t\[1,x\]$"):
+        x_symbol(1, H.algebra.one() * t)
+
+
 def test_free_poly_arithmetic_and_lifting():
     H = taft(2)
     alg = H.algebra
@@ -596,3 +612,15 @@ def test_mu_bound_leaves_room_for_the_catalogs():
         A = galois_object(object_spec(H.family, H.n))
         for _, P in catalog(H):
             assert mu(bind_to_object(P, A), A).is_zero()
+
+
+def test_expansion_is_bounded_like_mu():
+    # (YX - qXY)^16 expands to 2^16 words of T(X_H), all that the bound lets a
+    # product of two halves form; taft_identity(17) multiplies it by two more
+    P = taft_identity(17)
+    with pytest.raises(ValueError, match=f"mu image bound: a product of 2 by 65536 "
+                                         f"monomials .* past {MAX_MU_PAIRS}"):
+        P.element
+    # mu evaluates the tree in the object, so it needs no expansion
+    A = galois_object(taft_object_spec(17, a=1, c=0))
+    assert mu(bind_to_object(P, A), A).is_zero()

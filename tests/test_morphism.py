@@ -179,24 +179,3 @@ def test_long_words_do_not_recurse():
     assert H.antipode_word(word) == H.algebra.one()
     A = galois_object(taft_object_spec(2, a=1, c=0))
     assert A.coaction_word(word) == A.tensor.one()
-
-
-def test_extend_keeps_images_and_refuses_other_sources():
-    H = taft(2)
-    T1, T2 = free_algebra(H, 1), free_algebra(H, 2)
-    calls = []
-
-    def image(g):
-        calls.append(g)
-        return T2.element({(g,): 1})
-
-    f = Morphism(T1, T2, image)
-    assert f(T1.element({(0,): 1})) == T2.element({(0,): 1})
-    with pytest.raises(ValueError):
-        f(T2.element({(0,): 1}))
-    f.extend(T2)
-    e = T2.element({(0, 4): 1, (5,): 2})
-    assert f(e) == e
-    assert calls == [0, 4, 5]
-    with pytest.raises(ValueError):
-        f.extend(H.algebra)

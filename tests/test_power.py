@@ -36,18 +36,26 @@ def test_power_on_a_counting_stub():
     for k in range(65):
         _Counted.calls = 0
         seen = []
-        assert power(_Counted(1), k, _Counted(0), lambda v: seen.append(v.e)).e == k
+
+        def mul(x, y):
+            v = x * y
+            seen.append(v.e)
+            return v
+
+        assert power(_Counted(1), k, _Counted(0), mul).e == k
         assert _Counted.calls == expected_products(k), k
-        # check sees every square and every partial product, and nothing else
+        # mul forms every square and every partial product, and nothing else
         assert len(seen) == _Counted.calls
         if k:
             assert max(seen) == k
 
 
 def test_power_check_can_refuse():
-    def refuse_past_16(v):
+    def refuse_past_16(x, y):
+        v = x * y
         if v.e > 16:
             raise OverflowError(v.e)
+        return v
 
     assert power(_Counted(1), 16, _Counted(0), refuse_past_16).e == 16
     with pytest.raises(OverflowError):
