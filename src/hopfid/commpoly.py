@@ -48,9 +48,16 @@ class ParamVar:
             raise ValueError("parameter indices start at 1")
         if self.prime < 0:
             raise ValueError("prime count must be >= 0")
+        # every monomial product sorts and every dict lookup hashes by these:
+        # computed once, the hash exactly the value the dataclass would give
+        object.__setattr__(self, "_key", (0, _PARAM_RANK[self.tag], self.indices, self.prime))
+        object.__setattr__(self, "_hash", hash((self.tag, self.indices, self.prime)))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
-        return (0, _PARAM_RANK[self.tag], self.indices, self.prime)
+        return self._key
 
     def render(self) -> str:
         if not self.indices:
@@ -77,9 +84,14 @@ class TVar:
             raise ValueError("copy index starts at 1")
         if self.basis_index < 0:
             raise ValueError("basis index must be >= 0")
+        object.__setattr__(self, "_key", (1, self.copy, (self.basis_index,), 0))
+        object.__setattr__(self, "_hash", hash((self.copy, self.basis_index)))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
-        return (1, self.copy, (self.basis_index,), 0)
+        return self._key
 
     def render(self) -> str:
         return f"t[{self.copy},{self.label}]"
@@ -190,16 +202,28 @@ class CommPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                c = c1 * c2
-                if c.is_zero():
-                    continue
-                m = _mono_mul(m1, m2)
-                s = out.get(m)
-                out[m] = c if s is None else s + c
-        return CommPoly(self.order, out)
+        if len(o.terms) == 1 and () in o.terms:
+            poly, k = self, o.terms[()]
+        elif len(self.terms) == 1 and () in self.terms:
+            poly, k = o, self.terms[()]
+        else:
+            # a product of two nonzero coefficients is nonzero; only sums can cancel
+            out = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in o.terms.items():
+                    c = c1 * c2
+                    m = _mono_mul(m1, m2)
+                    s = out.get(m)
+                    out[m] = c if s is None else s + c
+            return CommPoly(self.order, out)
+        # a constant factor merges no monomials, and a nonzero scalar keeps
+        # every term nonzero (Q(zeta_n) is a field): no zero filter is needed
+        if k.is_one():
+            return poly
+        scaled = CommPoly.__new__(CommPoly)
+        scaled.order = self.order
+        scaled.terms = {m: c * k for m, c in poly.terms.items()}
+        return scaled
 
     __rmul__ = __mul__
 

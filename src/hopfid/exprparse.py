@@ -372,7 +372,11 @@ class _Parser:
         hopf = self.ctx.hopf
         alg = hopf.algebra
         if name == "X" and self.peek()[0] == "[":
-            return x_symbol(*self.bracket_pair(tok))
+            copy, h = self.bracket_pair(tok)
+            try:
+                return x_symbol(copy, h)
+            except ValueError as exc:
+                self.fail(str(exc), tok)
         if name == "E":
             return x_symbol(1, alg.one())
         if name == "X":

@@ -311,14 +311,16 @@ class AlgElement:
         alg = self.algebra
         if isinstance(other, AlgElement):
             self._check(other)
+            one = alg._one_poly
             acc = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
                     c = c1 * c2
                     if c.is_zero():
                         continue
+                    # a normal word is its own normal form, with the coefficient _one_poly itself
                     for nw, nc in alg.normal_form_word(w1 + w2).terms.items():
-                        prod = nc * c
+                        prod = c if nc is one else nc * c
                         s = acc.get(nw)
                         acc[nw] = prod if s is None else s + prod
             return AlgElement(alg, acc)

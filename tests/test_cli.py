@@ -226,10 +226,16 @@ def test_catalog_past_the_expansion_bound_exits_2(capsys):
 
 
 def test_free_symbol_with_a_t_coefficient_exits_2(capsys):
+    # refused at the X it qualifies, with the caret a t coefficient of E gets
     code, out, err = run(capsys, "mu", "--object", "taft:2;a=1;c=0", "X[1,t[1,x]]")
     assert (code, out) == (2, "")
     assert err == ("error: free comodule polynomial coefficients may only contain "
-                   "structure parameters, not t[1,x]\n")
+                   "structure parameters, not t[1,x] (at position 0)\n"
+                   "  X[1,t[1,x]]\n"
+                   "  ^\n")
+    code, out, err = run(capsys, "mu", "--object", "taft:2;a=1;c=0", "E + X[1,t[1,x]]")
+    assert (code, out) == (2, "")
+    assert err.endswith("not t[1,x] (at position 4)\n  E + X[1,t[1,x]]\n      ^\n")
 
 
 def test_written_polynomials_bind_the_object_parameters(capsys):

@@ -1,11 +1,13 @@
 """Tests for the commutative coefficient polynomials."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
 from hopfid.commpoly import CommPoly, ParamVar, TVar
-from hopfid.cyclotomic import CyclotomicNumber
+from hopfid.cyclotomic import CyclotomicNumber, field_degree
 
 
 def test_paramvar_validation():
@@ -162,3 +164,93 @@ def test_pow_validation():
     assert a**1 == a
     with pytest.raises(ValueError):
         a ** (-1)
+
+
+def test_variable_keys_hash_as_the_dataclass_fields():
+    for v in (ParamVar("a"), ParamVar("c", (2,)), ParamVar("d", (1, 3), 2)):
+        assert hash(v) == hash((v.tag, v.indices, v.prime))
+        assert v.sort_key() == (0, "acd".index(v.tag), v.indices, v.prime)
+    assert repr(ParamVar("c", (2,))) == "ParamVar(tag='c', indices=(2,), prime=0)"
+    t, u = TVar(2, 5, "y"), TVar(2, 5, "x*y")
+    assert hash(t) == hash((2, 5))
+    assert t == u and hash(t) == hash(u)
+    assert {t: 1}[u] == 1 and {u: 2}[t] == 2
+    r = dataclasses.replace(ParamVar("c", (1,)), indices=(3,), prime=1)
+    assert r == ParamVar("c", (3,), 1)
+    assert r.sort_key() == (0, 1, (3,), 1) and hash(r) == hash(("c", (3,), 1))
+    s = dataclasses.replace(t, copy=3)
+    assert s.sort_key() == (1, 3, (5,), 0) and hash(s) == hash((3, 5))
+    with pytest.raises(ValueError):
+        dataclasses.replace(t, copy=0)
+
+
+def _reference_mul(p, q):
+    """The general double loop: every pair of terms, monomials merged and sorted."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            c = c1 * c2
+            if c.is_zero():
+                continue
+            merged = dict(m1)
+            for v, e in m2:
+                merged[v] = merged.get(v, 0) + e
+            m = tuple(sorted(merged.items(), key=lambda ve: ve[0].sort_key()))
+            s = out.get(m)
+            out[m] = c if s is None else s + c
+    return CommPoly(p.order, out)
+
+
+# variables are built afresh for each monomial, so lookups meet equal, not identical, keys
+_VARIABLES = (
+    lambda: ParamVar("a"),
+    lambda: ParamVar("c"),
+    lambda: ParamVar("c", (2,)),
+    lambda: ParamVar("c", (), 1),
+    lambda: ParamVar("d", (1, 2)),
+    lambda: TVar(1, 0, "1"),
+    lambda: TVar(1, 1, "x"),
+    lambda: TVar(2, 1, "x"),
+)
+
+
+def _random_scalar(rng, order):
+    return CyclotomicNumber(
+        order, [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(field_degree(order))]
+    )
+
+
+def _random_poly(rng, order):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        chosen = rng.sample(_VARIABLES, rng.randint(0, 3))
+        mono = tuple(sorted(((new(), rng.randint(1, 2)) for new in chosen),
+                            key=lambda ve: ve[0].sort_key()))
+        terms[mono] = _random_scalar(rng, order)
+    return CommPoly(order, terms)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7])
+def test_mul_matches_the_reference_double_loop(order):
+    rng = random.Random(order)
+    constants = [CommPoly.zero(order), CommPoly.one(order), CommPoly.scalar(order, -1),
+                 CommPoly.constant(CyclotomicNumber.zeta(order) + 2)]
+    polys = constants + [_random_poly(rng, order) for _ in range(40)]
+    numbers = [0, 1, -1, 3, Fraction(-2, 3), Fraction(1, 1)]
+    for p in polys:
+        before = list(p.terms.items())
+        q_cases = constants + [_random_poly(rng, order) for _ in range(3)]
+        for q in q_cases:
+            q_before = list(q.terms.items())
+            got = p * q
+            assert list(got.terms.items()) == list(_reference_mul(p, q).terms.items()), (p, q)
+            assert not any(c.is_zero() for c in got.terms.values())
+            assert list(q.terms.items()) == q_before
+        for k in numbers + [_random_scalar(rng, order)]:
+            as_poly = CommPoly.constant(k) if isinstance(k, CyclotomicNumber) else CommPoly.scalar(order, k)
+            ref = _reference_mul(p, as_poly)
+            for got in (p * k, k * p):
+                assert list(got.terms.items()) == list(ref.terms.items()), (p, k)
+                assert not any(c.is_zero() for c in got.terms.values())
+        assert list(p.terms.items()) == before
+        assert p * CommPoly.one(order) is p and 1 * p is p
