@@ -10,54 +10,57 @@ CyclotomicNumber values of one fixed order per polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 
 from .cyclotomic import CyclotomicNumber, join_signed, power
 
 __all__ = ["ParamVar", "TVar", "CommPoly"]
 
-_PARAM_RANK = {"a": 0, "c": 1, "d": 2}
+_PARAM_TAGS = "acd"
+_PARAM_RANK = {tag: rank for rank, tag in enumerate(_PARAM_TAGS)}
 
 
-@dataclass(frozen=True)
-class ParamVar:
+class ParamVar(tuple):
     """A structure parameter: a, c, c[i], or d[i,j] with i <= j.
 
     prime counts trailing apostrophes, so c and c' are distinct variables.
+    The value is the tuple (0, rank of tag, indices, prime), so hashing,
+    equality and the order of monomials are the tuple's own and run in C.
+    Parameters sort before every TVar.
     """
 
-    tag: str
-    indices: tuple[int, ...] = ()
-    prime: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in _PARAM_RANK:
-            raise ValueError(f"unknown parameter tag {self.tag!r}")
-        if self.tag == "a" and self.indices:
+    def __new__(cls, tag, indices=(), prime=0):
+        if tag not in _PARAM_RANK:
+            raise ValueError(f"unknown parameter tag {tag!r}")
+        if tag == "a" and indices:
             raise ValueError("parameter a takes no indices")
-        if self.tag == "c" and len(self.indices) not in (0, 1):
+        if tag == "c" and len(indices) not in (0, 1):
             raise ValueError("parameter c takes zero or one index")
-        if self.tag == "d":
-            if len(self.indices) != 2:
+        if tag == "d":
+            if len(indices) != 2:
                 raise ValueError("parameter d takes exactly two indices")
-            i, j = self.indices
+            i, j = indices
             if not 1 <= i <= j:
                 raise ValueError("d indices must satisfy 1 <= i <= j")
-        if any(i < 1 for i in self.indices):
+        if any(i < 1 for i in indices):
             raise ValueError("parameter indices start at 1")
-        if self.prime < 0:
+        if prime < 0:
             raise ValueError("prime count must be >= 0")
-        # every monomial product sorts and every dict lookup hashes by these:
-        # computed once, the hash exactly the value the dataclass would give
-        object.__setattr__(self, "_key", (0, _PARAM_RANK[self.tag], self.indices, self.prime))
-        object.__setattr__(self, "_hash", hash((self.tag, self.indices, self.prime)))
+        return tuple.__new__(cls, (0, _PARAM_RANK[tag], indices, prime))
 
-    def __hash__(self):
-        return self._hash
+    tag = property(lambda self: _PARAM_TAGS[self[1]])
+    indices = property(itemgetter(2))
+    prime = property(itemgetter(3))
 
-    def sort_key(self):
-        return self._key
+    def __getnewargs__(self):
+        return self.tag, self.indices, self.prime
+
+    def __repr__(self):
+        return f"ParamVar(tag={self.tag!r}, indices={self.indices!r}, prime={self.prime!r})"
 
     def render(self) -> str:
         if not self.indices:
@@ -67,31 +70,32 @@ class ParamVar:
         return body + "'" * self.prime
 
 
-@dataclass(frozen=True)
-class TVar:
+class TVar(tuple):
     """Coinvariant indeterminate t[copy, h] for a Hopf-basis element h.
 
     basis_index is the position of h in the fixed basis enumeration; label is
-    its rendered word, carried for display only and excluded from identity.
+    its rendered word, carried for display only and excluded from identity:
+    the value is the tuple (1, copy, (basis_index,), 0), ordered after every
+    ParamVar.
     """
 
-    copy: int
-    basis_index: int
-    label: str = field(compare=False)
-
-    def __post_init__(self):
-        if self.copy < 1:
+    def __new__(cls, copy, basis_index, label):
+        if copy < 1:
             raise ValueError("copy index starts at 1")
-        if self.basis_index < 0:
+        if basis_index < 0:
             raise ValueError("basis index must be >= 0")
-        object.__setattr__(self, "_key", (1, self.copy, (self.basis_index,), 0))
-        object.__setattr__(self, "_hash", hash((self.copy, self.basis_index)))
+        self = tuple.__new__(cls, (1, copy, (basis_index,), 0))
+        self.label = label
+        return self
 
-    def __hash__(self):
-        return self._hash
+    copy = property(itemgetter(1))
+    basis_index = property(lambda self: self[2][0])
 
-    def sort_key(self):
-        return self._key
+    def __getnewargs__(self):
+        return self.copy, self.basis_index, self.label
+
+    def __repr__(self):
+        return f"TVar(copy={self.copy!r}, basis_index={self.basis_index!r}, label={self.label!r})"
 
     def render(self) -> str:
         return f"t[{self.copy},{self.label}]"
@@ -107,11 +111,7 @@ def _mono_mul(m1, m2):
         merged[v] = merged.get(v, 0) + e
     for v, e in m2:
         merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items(), key=lambda p: p[0].sort_key()))
-
-
-def _mono_key(m):
-    return tuple((v.sort_key(), e) for v, e in m)
+    return tuple(sorted(merged.items()))
 
 
 def _mono_render(m):
@@ -143,8 +143,10 @@ class CommPoly:
         return cls.constant(CyclotomicNumber.from_rational(order, value))
 
     @classmethod
+    @lru_cache(maxsize=None)
     def one(cls, order):
-        return cls.scalar(order, 1)
+        # one shared constant per order, so products can skip it by identity
+        return cls.constant(CyclotomicNumber.one(order))
 
     @classmethod
     def variable(cls, order, var, exp: int = 1):
@@ -269,7 +271,7 @@ class CommPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def constant_value(self) -> CyclotomicNumber:
         if not self.terms:
@@ -286,7 +288,8 @@ class CommPoly:
         return seen
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda p: _mono_key(p[0]))
+        # monomials are distinct keys, so no two coefficients are compared
+        return sorted(self.terms.items())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):

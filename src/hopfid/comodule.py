@@ -25,7 +25,7 @@ coinvariants still solves a linear system and needs every parameter numeric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,7 +34,7 @@ from .cyclotomic import CyclotomicNumber
 from .hopf import HopfPresentation, check_coaction_laws, coaction_images
 from .hopf import family_hopf, family_relations, relation_failures
 from .linalg import kernel_basis
-from .ncalg import AlgElement, Morphism, PresentedAlgebra, embed, tensor_product
+from .ncalg import AlgElement, Morphism, PresentedAlgebra, tensor_product
 
 __all__ = [
     "Symbolic",
@@ -53,20 +53,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Symbolic:
+class Symbolic(namedtuple("Symbolic", "prime", defaults=(0,))):
     """Marks a parameter left as a free variable; prime distinguishes copies."""
 
-    prime: int = 0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GaloisObjectSpec:
-    """A family object's size and parameter values; object_spec builds it."""
+class GaloisObjectSpec(namedtuple("GaloisObjectSpec", "family n values")):
+    """A family object's size and parameter values; object_spec builds it.
 
-    family: str
-    n: int
-    values: tuple  # (key, CyclotomicNumber | Symbolic) pairs in the family's key order
+    values holds (key, CyclotomicNumber | Symbolic) pairs in the family's key
+    order.
+    """
+
+    __slots__ = ()
 
     def value(self, key):
         return dict(self.values)[key]
@@ -93,7 +93,7 @@ class GaloisObjectSpec:
             while isinstance(v, Symbolic) and (k, v.prime) in taken:
                 v = Symbolic(v.prime + 1)
             values.append((k, v))
-        return replace(self, values=tuple(values))
+        return self._replace(values=tuple(values))
 
     def render(self) -> str:
         parts = [f"{self.family}:{self.n}"]
@@ -240,11 +240,14 @@ def coinvariants(A: ComoduleAlgebra):
     _require_numeric(A, "coinvariant computation")
     order = A.algebra.order
     basis = A.algebra.basis()
+    zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)
     rows = {}  # tensor word -> sparse row over the basis columns
     for j, w in enumerate(basis):
-        fixed = A.coaction_word(w) - embed(A.algebra.normal_form_word(w), A.tensor, 0)
-        for tw, c in fixed.terms.items():
+        for tw, c in A.coaction_word(w).terms.items():
             rows.setdefault(tw, {})[j] = c.constant_value()
+        # less w ⊗ 1, w being normal; kernel_basis drops an entry that cancels
+        row = rows.setdefault(A.tensor.join(w, ()), {})
+        row[j] = row.get(j, zero) - one
     vectors = kernel_basis(list(rows.values()), len(basis), order)
     out = []
     for vec in vectors:
@@ -303,10 +306,8 @@ def galois_map_bijective(A: ComoduleAlgebra) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ComoduleReport:
-    name: str
-    failures: tuple
+class ComoduleReport(namedtuple("ComoduleReport", "name failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -196,10 +196,12 @@ class CyclotomicNumber:
         return _canonical(order, num + [0] * (field_degree(order) - 1), den)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def zero(cls, order):
         return cls.from_rational(order, 0)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def one(cls, order):
         return cls.from_rational(order, 1)
 

@@ -18,7 +18,7 @@ ParseError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .commpoly import CommPoly, ParamVar
 from .comodule import Symbolic, object_spec
@@ -117,13 +117,8 @@ def _tokenize(text):
     return toks
 
 
-@dataclass
-class _Context:
-    mode: str  # "elem" or "free"
-    order: int
-    algebra: PresentedAlgebra | None = None
-    hopf: HopfPresentation | None = None
-    max_degree: int | None = None
+# mode is "elem" or "free"; algebra, hopf and max_degree may be None
+_Context = namedtuple("_Context", "mode order algebra hopf max_degree", defaults=(None,) * 3)
 
 
 class _Parser:
@@ -413,7 +408,7 @@ class _Parser:
     def element_subexpr(self) -> AlgElement:
         """Parse a Hopf algebra element inside brackets, in the same tokens."""
         outer = self.ctx
-        self.ctx = replace(outer, mode="elem", algebra=outer.hopf.algebra)
+        self.ctx = outer._replace(mode="elem", algebra=outer.hopf.algebra)
         try:
             return self.promote(self.nested(self.expr, self.peek(), levels=2))
         finally:
@@ -489,11 +484,10 @@ def parse_expression(text, context, max_degree=None):
 # -- algebra and object specs ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixSpec:
+class MatrixSpec(namedtuple("MatrixSpec", "k")):
     """A k x k matrix algebra target for classical identity checks."""
 
-    k: int
+    __slots__ = ()
 
     def render(self) -> str:
         return f"matrix:{self.k}"

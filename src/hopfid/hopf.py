@@ -15,7 +15,7 @@ yi -> 1⊗yi + yi⊗x, the coproduct on generators and every object's coaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .commpoly import CommPoly
@@ -215,10 +215,8 @@ def qbinom(m: int, k: int, q: CyclotomicNumber) -> CyclotomicNumber:
     return qbinom(m - 1, k - 1, q) + q**k * qbinom(m - 1, k, q)
 
 
-@dataclass(frozen=True)
-class HopfAxiomReport:
-    hopf: str
-    failures: tuple
+class HopfAxiomReport(namedtuple("HopfAxiomReport", "hopf failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

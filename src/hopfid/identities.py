@@ -12,7 +12,7 @@ target family symbolically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -116,12 +116,13 @@ class FreeComodulePoly:
 
     @staticmethod
     def _check_coeff(poly: CommPoly):
-        for v in poly.variables():
-            if not isinstance(v, ParamVar):
-                raise ValueError(
-                    "free comodule polynomial coefficients may only contain "
-                    f"structure parameters, not {v.render()}"
-                )
+        # the least offender in monomial order, the order the polynomial prints in
+        bad = [v for v in poly.variables() if not isinstance(v, ParamVar)]
+        if bad:
+            raise ValueError(
+                "free comodule polynomial coefficients may only contain "
+                f"structure parameters, not {min(bad).render()}"
+            )
         return poly
 
     @property
@@ -548,11 +549,8 @@ def substitute(P: FreeComodulePoly, image_fn) -> FreeComodulePoly:
 # -- parameter comparison of two objects ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Distinguished:
-    identity: str
-    direction: str
-    witness: AlgElement
+class Distinguished(namedtuple("Distinguished", "identity direction witness")):
+    __slots__ = ()
 
     def __str__(self):
         return (
@@ -561,9 +559,8 @@ class Distinguished:
         )
 
 
-@dataclass(frozen=True)
-class Isomorphic:
-    note: str = ""
+class Isomorphic(namedtuple("Isomorphic", "note", defaults=("",))):
+    __slots__ = ()
 
     def __str__(self):
         return f"isomorphic ({self.note})" if self.note else "isomorphic"

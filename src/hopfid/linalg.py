@@ -21,21 +21,26 @@ def sparse_row(row) -> dict:
 
 def row_reduce(rows):
     """Reduced row echelon form of sparse rows in place; returns the pivot
-    columns in increasing order.  The form is unique, whatever the row order."""
+    columns in increasing order.  The form is unique, whatever the row order,
+    so each column pivots on its shortest row (Markowitz, 1957): a row with
+    one entry clears its column from the others with no arithmetic."""
     pivots = []
     r = 0
     for col in sorted({c for row in rows for c in row}):
-        pivot = next((i for i in range(r, len(rows)) if col in rows[i]), None)
-        if pivot is None:
+        below = [i for i in range(r, len(rows)) if col in rows[i]]
+        if not below:
             continue
+        pivot = min(below, key=lambda i: len(rows[i]))
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        prow = rows[r] = {c: v * inv for c, v in rows[r].items()}
+        lead = rows[r].pop(col)
+        inv = lead.inverse() if rows[r] else None
+        rest = {c: v * inv for c, v in rows[r].items()}  # the pivot row past its leading one
+        rows[r] = {col: CyclotomicNumber.one(lead.order), **rest}
         for i, row in enumerate(rows):
             if i == r or col not in row:
                 continue
-            f = row[col]
-            for c, b in prow.items():
+            f = row.pop(col)
+            for c, b in rest.items():
                 v = row[c] - f * b if c in row else -(f * b)
                 if v.is_zero():
                     del row[c]

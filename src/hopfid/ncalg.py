@@ -14,7 +14,7 @@ know how its words lay out the factors' words.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -315,9 +315,8 @@ class AlgElement:
             acc = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    c = c1 * c2
-                    if c.is_zero():
-                        continue
+                    # terms are nonzero, and so is their product: coefficients form a domain
+                    c = c2 if c1 is one else c1 if c2 is one else c1 * c2
                     # a normal word is its own normal form, with the coefficient _one_poly itself
                     for nw, nc in alg.normal_form_word(w1 + w2).terms.items():
                         prod = c if nc is one else nc * c
@@ -502,19 +501,12 @@ def embed(elem: AlgElement, product: PresentedAlgebra, factor: int) -> AlgElemen
 # -- confluence ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConfluenceFailure:
-    word: tuple
-    first: tuple
-    second: tuple
-    difference: str
+ConfluenceFailure = namedtuple("ConfluenceFailure", "word first second difference")
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
-    algebra: str
-    failures: tuple
-    ambiguities_checked: int = 0
+class ConfluenceReport(namedtuple("ConfluenceReport", "algebra failures ambiguities_checked",
+                                  defaults=(0,))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

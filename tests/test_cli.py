@@ -238,6 +238,15 @@ def test_free_symbol_with_a_t_coefficient_exits_2(capsys):
     assert err.endswith("not t[1,x] (at position 4)\n  E + X[1,t[1,x]]\n      ^\n")
 
 
+def test_t_coefficient_refusal_names_the_least_variable(capsys):
+    # the polynomial prints t[1,1] first, so the refusal names it, whatever the hash order
+    text = "X[1,t[2,y]*t[1,x]*t[1,1]*a + x]"
+    code, out, err = run(capsys, "mu", "--object", "taft:2;a=1;c=0", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: free comodule polynomial coefficients may only contain "
+                          "structure parameters, not t[1,1] (at position 0)\n")
+
+
 def test_written_polynomials_bind_the_object_parameters(capsys):
     pc = "(Y*X - q*X*Y)^2 - (1-q)^2*X^2*Y^2 + (1-q)^2*c*E^2*X^2"
     for spec in ("taft:2;a=1;c=0", "taft:2;a=2;c=3", "taft:2;a=sym;c=sym"):
@@ -341,6 +350,15 @@ def _child(*argv, timeout):
         [sys.executable, "-m", "hopfid.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_cold_import_leaves_dataclasses_out():
+    # dataclasses pulls in inspect, ast, dis and tokenize: a quarter of a cold import
+    src = os.path.dirname(os.path.dirname(hopfid.__file__))
+    code = "import sys, hopfid.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_deep_nesting_error_is_short():

@@ -1,6 +1,7 @@
 """Tests for the commutative coefficient polynomials."""
 
-import dataclasses
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -166,22 +167,48 @@ def test_pow_validation():
         a ** (-1)
 
 
-def test_variable_keys_hash_as_the_dataclass_fields():
-    for v in (ParamVar("a"), ParamVar("c", (2,)), ParamVar("d", (1, 3), 2)):
-        assert hash(v) == hash((v.tag, v.indices, v.prime))
-        assert v.sort_key() == (0, "acd".index(v.tag), v.indices, v.prime)
-    assert repr(ParamVar("c", (2,))) == "ParamVar(tag='c', indices=(2,), prime=0)"
+def _old_key(v):
+    """The sort key each variable computed from its fields: the order's oracle."""
+    if isinstance(v, ParamVar):
+        return (0, "acd".index(v.tag), v.indices, v.prime)
+    return (1, v.copy, (v.basis_index,), 0)
+
+
+def test_variables_compare_hash_and_sort_by_their_fields():
     t, u = TVar(2, 5, "y"), TVar(2, 5, "x*y")
-    assert hash(t) == hash((2, 5))
     assert t == u and hash(t) == hash(u)
     assert {t: 1}[u] == 1 and {u: 2}[t] == 2
-    r = dataclasses.replace(ParamVar("c", (1,)), indices=(3,), prime=1)
-    assert r == ParamVar("c", (3,), 1)
-    assert r.sort_key() == (0, 1, (3,), 1) and hash(r) == hash(("c", (3,), 1))
-    s = dataclasses.replace(t, copy=3)
-    assert s.sort_key() == (1, 3, (5,), 0) and hash(s) == hash((3, 5))
-    with pytest.raises(ValueError):
-        dataclasses.replace(t, copy=0)
+    assert ParamVar("d", (1, 3), 2) == ParamVar("d", (1, 3), 2)
+    assert hash(ParamVar("d", (1, 3), 2)) == hash(ParamVar("d", (1, 3), 2))
+    assert len({ParamVar("c"), ParamVar("c", (), 1), ParamVar("c", (1,)), TVar(1, 0, "1")}) == 4
+    pool = [ParamVar("a", (), p) for p in range(3)]
+    pool += [ParamVar("c", idx, p) for idx in ((), (1,), (2,), (10,)) for p in range(3)]
+    pool += [ParamVar("d", (i, j), p) for i in (1, 2) for j in (2, 3, 10) for p in range(2)]
+    pool += [TVar(c, b, f"h{b}") for c in (1, 2, 10) for b in (0, 1, 2, 10)]
+    rng = random.Random(15)
+    rng.shuffle(pool)
+    assert sorted(pool) == sorted(pool, key=_old_key)
+    for v in pool:
+        for w in pool:
+            assert (v < w) == (_old_key(v) < _old_key(w)) and (v == w) == (v is w)
+        assert copy.copy(v) == v and repr(pickle.loads(pickle.dumps(v))) == repr(v)
+    assert repr(ParamVar("c", (2,))) == "ParamVar(tag='c', indices=(2,), prime=0)"
+    assert repr(TVar(2, 5, "y")) == "TVar(copy=2, basis_index=5, label='y')"
+    refused = [
+        (lambda: ParamVar("b"), "unknown parameter tag 'b'"),
+        (lambda: ParamVar("a", (1,)), "parameter a takes no indices"),
+        (lambda: ParamVar("c", (1, 2)), "parameter c takes zero or one index"),
+        (lambda: ParamVar("d", (1,)), "parameter d takes exactly two indices"),
+        (lambda: ParamVar("d", (2, 1)), "d indices must satisfy 1 <= i <= j"),
+        (lambda: ParamVar("c", (0,)), "parameter indices start at 1"),
+        (lambda: ParamVar("c", (1,), -1), "prime count must be >= 0"),
+        (lambda: TVar(0, 5, "y"), "copy index starts at 1"),
+        (lambda: TVar(1, -1, "y"), "basis index must be >= 0"),
+    ]
+    for build, message in refused:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
 
 def _reference_mul(p, q):
@@ -195,7 +222,7 @@ def _reference_mul(p, q):
             merged = dict(m1)
             for v, e in m2:
                 merged[v] = merged.get(v, 0) + e
-            m = tuple(sorted(merged.items(), key=lambda ve: ve[0].sort_key()))
+            m = tuple(sorted(merged.items(), key=lambda ve: _old_key(ve[0])))
             s = out.get(m)
             out[m] = c if s is None else s + c
     return CommPoly(p.order, out)
@@ -225,7 +252,7 @@ def _random_poly(rng, order):
     for _ in range(rng.randint(0, 4)):
         chosen = rng.sample(_VARIABLES, rng.randint(0, 3))
         mono = tuple(sorted(((new(), rng.randint(1, 2)) for new in chosen),
-                            key=lambda ve: ve[0].sort_key()))
+                            key=lambda ve: _old_key(ve[0])))
         terms[mono] = _random_scalar(rng, order)
     return CommPoly(order, terms)
 
