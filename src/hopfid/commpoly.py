@@ -106,6 +106,12 @@ def _mono_mul(m1, m2):
         return m2
     if not m2:
         return m1
+    if len(m1) == 1 and len(m2) == 1:
+        # two one-variable monomials: one comparison, no dict and no sort
+        (v1, e1), (v2, e2) = p1, p2 = m1[0], m2[0]
+        if v1 == v2:
+            return ((v1, e1 + e2),)
+        return (p1, p2) if v1 < v2 else (p2, p1)
     merged = {}
     for v, e in m1:
         merged[v] = merged.get(v, 0) + e
@@ -121,8 +127,22 @@ def _mono_render(m):
     return "*".join(parts)
 
 
+def _raw(order, terms):
+    """The CommPoly on terms as given: the caller ensures no coefficient is zero."""
+    p = object.__new__(CommPoly)
+    p.order, p.terms = order, terms
+    return p
+
+
 class CommPoly:
-    """A polynomial in ParamVar/TVar variables with cyclotomic coefficients."""
+    """A polynomial in ParamVar/TVar variables with cyclotomic coefficients.
+
+    terms maps each monomial to its coefficient and never holds a zero
+    coefficient, so the zero polynomial has no terms and equal values have
+    equal dicts.  The constructor filters zeros out; the arithmetic keeps the
+    invariant by construction and builds through _raw without a filter.
+    Instances are immutable in use, so constants may be shared.
+    """
 
     __slots__ = ("order", "terms")
 
@@ -140,6 +160,8 @@ class CommPoly:
 
     @classmethod
     def scalar(cls, order, value):
+        if type(value) is int and -_SMALL <= value <= _SMALL:
+            return _small_scalar(order, value)
         return cls.constant(CyclotomicNumber.from_rational(order, value))
 
     @classmethod
@@ -174,19 +196,25 @@ class CommPoly:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        same = type(other) is CommPoly and other.order == self.order
+        o = other if same else self._coerce(other)
         if o is None:
             return NotImplemented
         out = dict(self.terms)
         for m, c in o.terms.items():
             s = out.get(m)
-            out[m] = c if s is None else s + c
-        return CommPoly(self.order, out)
+            if s is None:
+                out[m] = c
+            elif (s := s + c).is_zero():  # only a sum can cancel
+                del out[m]
+            else:
+                out[m] = s
+        return _raw(self.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CommPoly(self.order, {m: -c for m, c in self.terms.items()})
+        return _raw(self.order, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -201,13 +229,14 @@ class CommPoly:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        same = type(other) is CommPoly and other.order == self.order
+        o = other if same else self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(o.terms) == 1 and () in o.terms:
-            poly, k = self, o.terms[()]
-        elif len(self.terms) == 1 and () in self.terms:
-            poly, k = o, self.terms[()]
+        if len(o.terms) == 1:
+            poly, ((mono, k),) = self, o.terms.items()
+        elif len(self.terms) == 1:
+            poly, ((mono, k),) = o, self.terms.items()
         else:
             # a product of two nonzero coefficients is nonzero; only sums can cancel
             out = {}
@@ -218,14 +247,16 @@ class CommPoly:
                     s = out.get(m)
                     out[m] = c if s is None else s + c
             return CommPoly(self.order, out)
-        # a constant factor merges no monomials, and a nonzero scalar keeps
-        # every term nonzero (Q(zeta_n) is a field): no zero filter is needed
+        # one side is the single term k*mono: m -> m*mono is injective and a
+        # nonzero k keeps every term nonzero (Q(zeta_n) is a field), so no
+        # two terms merge and no zero filter is needed
+        if not mono:
+            if k.is_one():
+                return poly
+            return _raw(self.order, {m: c * k for m, c in poly.terms.items()})
         if k.is_one():
-            return poly
-        scaled = CommPoly.__new__(CommPoly)
-        scaled.order = self.order
-        scaled.terms = {m: c * k for m, c in poly.terms.items()}
-        return scaled
+            return _raw(self.order, {_mono_mul(m, mono): c for m, c in poly.terms.items()})
+        return _raw(self.order, {_mono_mul(m, mono): c * k for m, c in poly.terms.items()})
 
     __rmul__ = __mul__
 
@@ -321,3 +352,13 @@ class CommPoly:
 
     def __repr__(self):
         return f"CommPoly({self})"
+
+
+_SMALL = 8  # CommPoly.scalar shares the constants -_SMALL .. _SMALL
+
+
+@lru_cache(maxsize=256)
+def _small_scalar(order, value):
+    if value == 1:  # the shared one, so products can skip it by identity
+        return CommPoly.one(order)
+    return CommPoly.constant(CyclotomicNumber.from_rational(order, value))

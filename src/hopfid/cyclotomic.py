@@ -31,10 +31,12 @@ Rational = Fraction
 
 
 def _int_poly_mul(p, q):
+    # zero entries of either side are skipped: a rational or a single +-zeta^k costs d products
     out = [0] * (len(p) + len(q) - 1)
+    q = [(j, b) for j, b in enumerate(q) if b]
     for i, a in enumerate(p):
         if a:
-            for j, b in enumerate(q):
+            for j, b in q:
                 out[i + j] += a * b
     return out
 
@@ -147,15 +149,26 @@ def _fold(order, num):
     return out
 
 
+def _raw(order, num, den):
+    """The CyclotomicNumber on a canonical (num, den) as given, unchecked."""
+    x = object.__new__(CyclotomicNumber)
+    x.order, x.num, x.den = order, num, den
+    return x
+
+
 def _canonical(order, num, den):
     """The CyclotomicNumber sum(num[k] * zeta**k) / den, with the content cancelled."""
     g = gcd(den, *num)
     if g != 1:
         num = [c // g for c in num]
         den //= g
-    x = object.__new__(CyclotomicNumber)
-    x.order, x.num, x.den = order, tuple(num), den
-    return x
+    return _raw(order, tuple(num), den)
+
+
+def _fraction(order, num, den):
+    """A degree-one value num / den (orders 1 and 2) with one gcd."""
+    g = gcd(num, den)
+    return _raw(order, (num // g,), den // g)
 
 
 class CyclotomicNumber:
@@ -221,10 +234,16 @@ class CyclotomicNumber:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        same = type(other) is CyclotomicNumber and other.order == self.order
+        o = other if same else self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self.den, o.den
+        if len(self.num) == 1:
+            x, y = self.num[0], o.num[0]
+            if a == b:
+                return _fraction(self.order, x + y, a)
+            return _fraction(self.order, x * b + y * a, a * b)
         if a == b:
             return _canonical(self.order, [x + y for x, y in zip(self.num, o.num)], a)
         return _canonical(
@@ -234,7 +253,7 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return _canonical(self.order, [-a for a in self.num], self.den)
+        return _raw(self.order, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -249,12 +268,14 @@ class CyclotomicNumber:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        same = type(other) is CyclotomicNumber and other.order == self.order
+        o = other if same else self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self.num, o.num
-        num = (a[0] * b[0],) if len(a) == 1 else _fold(self.order, _int_poly_mul(a, b))
-        return _canonical(self.order, num, self.den * o.den)
+        if len(a) == 1:
+            return _fraction(self.order, a[0] * b[0], self.den * o.den)
+        return _canonical(self.order, _fold(self.order, _int_poly_mul(a, b)), self.den * o.den)
 
     __rmul__ = __mul__
 

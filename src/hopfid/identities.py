@@ -418,9 +418,16 @@ def catalog(H: HopfPresentation):
 
 
 def bind_to_object(P: FreeComodulePoly, A: ComoduleAlgebra) -> FreeComodulePoly:
-    """Specialize the catalog parameters of P to the object's own values."""
+    """Specialize the catalog parameters of P to the object's own values.
+
+    A symbolic, unprimed key names the catalog's own variable, so it is not
+    substituted; when no key is left, P itself is returned.
+    """
     # a is no catalog parameter: the catalog identities hold for every a
-    assignment = {param_var(k): A.param_poly(k) for k in A.spec.keys() if k != "a"}
+    pairs = ((param_var(k), A.param_poly(k)) for k in A.spec.keys() if k != "a")
+    assignment = {v: p for v, p in pairs if p != CommPoly.variable(p.order, v)}
+    if not assignment:
+        return P
 
     def leaf(e):
         terms = {w: c.specialize(assignment) for w, c in e.terms.items()}

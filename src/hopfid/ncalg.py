@@ -75,7 +75,6 @@ class PresentedAlgebra:
         self._rules_by_first = {}
         for r in self.rules:
             self._rules_by_first.setdefault(r.lhs[0], []).append(r)
-        self._max_lhs = max((len(r.lhs) for r in self.rules), default=0)
         self._nf_cache = {}
         self._basis_cache = None
         self._one_poly = CommPoly.one(order)
@@ -146,26 +145,29 @@ class PresentedAlgebra:
         return tuple(word) in self.normal_form_word(word).terms
 
     def normal_form_word(self, word) -> AlgElement:
-        """The normal form of a single word, with coefficient one.  Cached.
+        """The normal form of a single word, with coefficient one.
 
         A tensor product reduces each factor's subword in that factor and
-        joins the results (its normal words, by Bergman's diamond lemma)."""
+        joins the results (its normal words, by Bergman's diamond lemma).
+        Only an algebra with rules caches its normal forms: a tensor word is
+        mostly the one-off join of two product terms, and its factors'
+        normal forms are cached in the factors."""
         word = tuple(word)
-        hit = self._nf_cache.get(word)
-        if hit is not None:
-            return hit
-        acc = {}
-        stack = [(word, self._one_poly)]
+        one = self._one_poly
         if self.tensor_factors is not None:  # no rules: nothing is left to rewrite
-            one = self._one_poly
             terms = [((), one)]  # (the reduced subwords so far, their coefficient)
             for factor, part in zip(self.tensor_factors, self.split_word(word)):
                 nf = factor.normal_form_word(part).terms.items()
                 # only a normal part is in its normal form, as itself; products by one are skipped
                 terms = [(done + (w,), c if w == part else fc if c is one else c * fc)
                          for done, c in terms for w, fc in nf]
-            acc = {self.join(*done): c for done, c in terms}
-            stack = []
+            # distinct factor words join to distinct words, and coefficients are nonzero
+            return _raw(self, {self.join(*done): c for done, c in terms})
+        hit = self._nf_cache.get(word)
+        if hit is not None:
+            return hit
+        acc = {}
+        stack = [(word, one)]
         while stack:
             w, c = stack.pop()
             if w != word:
@@ -202,14 +204,17 @@ class PresentedAlgebra:
             out = sorted(itertools.starmap(self.join, itertools.islice(parts, limit + 1)),
                          key=deglex_key)
             level = []
-        ngens = len(self.generators)
+        # w is already normal, so a redex of w + (g,) can only be a suffix:
+        # the left side of a rule that ends in g
+        ending = [[] for _ in self.generators]
+        for r in self.rules:
+            ending[r.lhs[-1]].append(r.lhs)
         while level and len(out) <= limit:
             nxt = []
             for w in level:
-                for g in range(ngens):
+                for g, lhss in enumerate(ending):
                     cand = w + (g,)
-                    # w is already normal, so a redex can only end at the tail
-                    if self.find_redex(cand[max(0, len(cand) - self._max_lhs):]) is None:
+                    if not any(cand[-len(L):] == L for L in lhss):
                         nxt.append(cand)
             out.extend(nxt)
             level = nxt
@@ -259,8 +264,21 @@ class PresentedAlgebra:
         return f"PresentedAlgebra({self.name})"
 
 
+def _raw(algebra, terms):
+    """The AlgElement on terms as given: the caller ensures no coefficient is zero."""
+    e = object.__new__(AlgElement)
+    e.algebra, e.terms = algebra, terms
+    return e
+
+
 class AlgElement:
-    """A linear combination of normal words with CommPoly coefficients."""
+    """A linear combination of normal words with CommPoly coefficients.
+
+    terms maps each normal word to its coefficient and never holds a zero
+    polynomial, so the zero element has no terms and equal values have
+    equal dicts.  The constructor filters zeros out; the arithmetic keeps the
+    invariant by construction and builds through _raw without a filter.
+    """
 
     __slots__ = ("algebra", "terms")
 
@@ -281,8 +299,13 @@ class AlgElement:
             out = dict(self.terms)
             for w, c in other.terms.items():
                 s = out.get(w)
-                out[w] = c if s is None else s + c
-            return AlgElement(self.algebra, out)
+                if s is None:
+                    out[w] = c
+                elif (s := s + c).terms:
+                    out[w] = s
+                else:  # only a sum can cancel
+                    del out[w]
+            return _raw(self.algebra, out)
         try:
             poly = self.algebra.coerce_poly(other)
         except ValueError:
@@ -292,7 +315,7 @@ class AlgElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgElement(self.algebra, {w: -c for w, c in self.terms.items()})
+        return _raw(self.algebra, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, AlgElement):
@@ -313,6 +336,7 @@ class AlgElement:
             self._check(other)
             one = alg._one_poly
             acc = {}
+            summed = False
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
                     # terms are nonzero, and so is their product: coefficients form a domain
@@ -321,13 +345,20 @@ class AlgElement:
                     for nw, nc in alg.normal_form_word(w1 + w2).terms.items():
                         prod = c if nc is one else nc * c
                         s = acc.get(nw)
-                        acc[nw] = prod if s is None else s + prod
-            return AlgElement(alg, acc)
+                        if s is None:
+                            acc[nw] = prod
+                        else:
+                            acc[nw] = s + prod
+                            summed = True
+            # with no word summed, every coefficient is such a nonzero product
+            return AlgElement(alg, acc) if summed else _raw(alg, acc)
         try:
             poly = alg.coerce_poly(other)
         except ValueError:
             return NotImplemented
-        return AlgElement(alg, {w: c * poly for w, c in self.terms.items()})
+        if not poly.terms:
+            return alg.zero()
+        return _raw(alg, {w: c * poly for w, c in self.terms.items()})
 
     def __rmul__(self, other):
         # scalars commute with everything here

@@ -185,6 +185,38 @@ def test_bind_to_object_keeps_the_tree(spec):
         assert bound.element.terms == ref_bind(P, A)
 
 
+@pytest.mark.parametrize("spec", ["taft:3;a=sym;c=sym", "taft:6;a=sym;c=sym", "en:1;a=sym;c1=sym",
+                                  "en:2;a=sym;c1=sym;c2=sym;d1,2=sym", "en:3"])
+def test_bind_to_object_leaves_a_symbolic_object_alone(spec):
+    # every unprimed symbolic key names the catalog's own variable
+    A = obj(spec)
+    rng = random.Random(f"bind alone {spec}")
+    for P in [P for _, P in catalog(A.hopf)] + [random_tree(rng, A.hopf)[0] for _ in range(5)]:
+        assert bind_to_object(P, A) is P
+
+
+def primed(first, second):
+    """The second object as distinguish builds it, primed apart from the first."""
+    return galois_object(parse_object_spec(second).primed_apart(parse_object_spec(first)))
+
+
+@pytest.mark.parametrize("A", [
+    primed("taft:3;a=sym;c=sym", "taft:3;a=sym;c=sym"),
+    primed("en:2", "en:2;a=1;c1=sym;c2=3;d1,2=sym"),
+    obj("taft:4;a=2;c=5"),
+    obj("en:2;a=1;c1=2;c2=0;d1,2=-1"),
+    obj("taft:3;a=sym;c=2"),
+], ids=lambda A: A.spec.render())
+def test_bind_to_object_specialises_primed_and_numeric_keys(A):
+    rng = random.Random(f"bind primed {A.spec.render()}")
+    for P in [P for _, P in catalog(A.hopf)] + [random_tree(rng, A.hopf)[0] for _ in range(5)]:
+        bound = bind_to_object(P, A)
+        expanded = FreeComodulePoly(P.hopf, P.copies, AlgElement(P.element.algebra, ref_bind(P, A)))
+        assert bound.element.terms == expanded.element.terms
+        assert mu(bound, A) == mu(expanded, A)
+        assert bound is not P
+
+
 def expanded_substitute(P, image_fn):
     """Each word of the expanded polynomial, mapped letter by letter."""
     H = P.hopf

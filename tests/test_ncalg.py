@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from hopfid.commpoly import CommPoly
+from hopfid.comodule import galois_object
 from hopfid.cyclotomic import CyclotomicNumber
+from hopfid.exprparse import parse_object_spec
+from hopfid.hopf import en, taft
 from hopfid.ncalg import (
     AlgElement,
     PresentedAlgebra,
@@ -66,6 +69,26 @@ def test_basis_enumeration():
     assert alg.basis() == ((), (0,), (1,), (0, 1))
     # deglex order, stable on repeat calls
     assert alg.basis() is alg.basis()
+
+
+def tail_scan_basis(alg):
+    """The normal words by a redex scan of each candidate's last max|lhs| letters."""
+    window = max(len(r.lhs) for r in alg.rules)
+    out = level = [()]
+    while level:
+        level = [w + (g,) for w in level for g in range(len(alg.generators))
+                 if alg.find_redex((w + (g,))[-window:]) is None]
+        out = out + level
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec", [f"taft:{n}" for n in range(2, 10)]
+                                 + [f"en:{n}" for n in range(1, 6)])
+def test_basis_matches_the_tail_scan(spec):
+    # basis() tests a candidate only against the rules ending in its last letter
+    H = taft(int(spec[5:])) if spec.startswith("taft") else en(int(spec[3:]))
+    for alg in (H.algebra, galois_object(parse_object_spec(spec)).algebra):
+        assert alg.basis() == tail_scan_basis(alg)
 
 
 def test_basis_limit_guard():
