@@ -159,9 +159,12 @@ class CommPoly:
         return cls(value.order, {(): value})
 
     @classmethod
+    @lru_cache(maxsize=256, typed=True)
     def scalar(cls, order, value):
-        if type(value) is int and -_SMALL <= value <= _SMALL:
-            return _small_scalar(order, value)
+        # the same few ints recur (element() coefficients, permutation signs),
+        # so they are shared constants; bounded, as parsed ints reach it too
+        if value == 1:  # the shared one, so products can skip it by identity
+            return cls.one(order)
         return cls.constant(CyclotomicNumber.from_rational(order, value))
 
     @classmethod
@@ -254,7 +257,7 @@ class CommPoly:
             if k.is_one():
                 return poly
             return _raw(self.order, {m: c * k for m, c in poly.terms.items()})
-        if k.is_one():
+        if k.is_one():  # a variable's own coefficient: about a fifth of all products
             return _raw(self.order, {_mono_mul(m, mono): c for m, c in poly.terms.items()})
         return _raw(self.order, {_mono_mul(m, mono): c * k for m, c in poly.terms.items()})
 
@@ -353,12 +356,3 @@ class CommPoly:
     def __repr__(self):
         return f"CommPoly({self})"
 
-
-_SMALL = 8  # CommPoly.scalar shares the constants -_SMALL .. _SMALL
-
-
-@lru_cache(maxsize=256)
-def _small_scalar(order, value):
-    if value == 1:  # the shared one, so products can skip it by identity
-        return CommPoly.one(order)
-    return CommPoly.constant(CyclotomicNumber.from_rational(order, value))

@@ -336,7 +336,6 @@ class AlgElement:
             self._check(other)
             one = alg._one_poly
             acc = {}
-            summed = False
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
                     # terms are nonzero, and so is their product: coefficients form a domain
@@ -347,11 +346,11 @@ class AlgElement:
                         s = acc.get(nw)
                         if s is None:
                             acc[nw] = prod
-                        else:
-                            acc[nw] = s + prod
-                            summed = True
-            # with no word summed, every coefficient is such a nonzero product
-            return AlgElement(alg, acc) if summed else _raw(alg, acc)
+                        elif (s := s + prod).terms:
+                            acc[nw] = s
+                        else:  # only a sum can cancel
+                            del acc[nw]
+            return _raw(alg, acc)
         try:
             poly = alg.coerce_poly(other)
         except ValueError:

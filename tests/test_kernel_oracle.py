@@ -173,10 +173,14 @@ def test_cancelling_polynomials_leave_no_zero_term():
     assert (a - a) == CommPoly.zero(5)
 
 
-def test_small_scalars_are_shared_constants():
+def test_scalars_are_shared_constants():
     for order in ORDERS:
         assert CommPoly.scalar(order, 1) is CommPoly.one(order)
+        assert CommPoly.scalar(order, Fraction(1)) is CommPoly.one(order)
         assert CommPoly.scalar(order, -2) is CommPoly.scalar(order, -2)
+        assert CommPoly.scalar(order, -2) == CommPoly.constant(CyclotomicNumber.from_rational(order, -2))
+        with pytest.raises(TypeError):
+            CommPoly.scalar(order, -2.0)  # equal to a cached key, still refused
         assert CommPoly.scalar(order, 0).terms == {}
         big = CommPoly.scalar(order, 100)
         assert big == CommPoly.constant(CyclotomicNumber.from_rational(order, 100))
