@@ -13,14 +13,14 @@ a = 1, c = d = 0.  The section u maps each Hopf basis word to the same word
 of the object, which is normal there too.
 
 galois_map_bijective proves that the Galois map beta(a tensor b) =
-(a tensor 1) delta(b) is bijective from beta(kappa(g)) = 1 tensor g on the
-generators g of H alone, kappa the translation map: the h with 1 tensor h
+(a tensor 1) delta(b) is bijective from beta(a kappa(g)) = a (1 tensor g) on
+the generators g of H alone, kappa the translation map: the h with 1 tensor h
 in the image of beta form a subalgebra, so no basis word is visited and
-nothing is eliminated.
-It needs a numeric a, since x^-1 = a^-1 x^(N-1), and leaves c and d
-symbolic, so True is a proof for every value of them; it refuses a
-coaction that breaks A's relations or is not the family's on generators.
-coinvariants still solves a linear system and needs every parameter numeric.
+nothing is eliminated.  Multiplied by a, kappa needs no a^-1, so every
+parameter may stay symbolic and True is a proof for every a != 0, c and d
+at once; it refuses a coaction that breaks A's relations or is not the
+family's on generators.  coinvariants still solves a linear system and
+needs every parameter numeric.
 """
 
 from __future__ import annotations
@@ -179,7 +179,8 @@ class ComoduleAlgebra:
         self.spec = spec
         self.hopf = H = spec.hopf()
         self.name = f"A({spec.render()})"
-        polys = {param_var(k): self.param_poly(k) for k in spec.keys()}
+        # each key's variable to its value, read again by identities.bind_to_object
+        self.param_polys = polys = {param_var(k): self.param_poly(k) for k in spec.keys()}
         c = [p for v, p in polys.items() if v.tag == "c"]
         d = {v.indices: p for v, p in polys.items() if v.tag == "d"}
         rules = family_relations(H.algebra.order, polys[ParamVar("a")], c, d)
@@ -222,12 +223,6 @@ def coaction(A: ComoduleAlgebra, e: AlgElement) -> AlgElement:
     return A.coaction_map(e)
 
 
-def _require_numeric(A: ComoduleAlgebra, what: str):
-    symbolic = A.spec.symbolic_keys()
-    if symbolic:
-        raise ValueError(f"{what} needs numeric parameters; symbolic: {', '.join(symbolic)}")
-
-
 def coinvariants(A: ComoduleAlgebra):
     """A basis of the coinvariant subalgebra, by exact linear algebra.
 
@@ -237,7 +232,9 @@ def coinvariants(A: ComoduleAlgebra):
     forces A^coH = k, since a coinvariant b has beta(1 tensor b - b tensor 1)
     = delta(b) - b tensor 1 = 0.
     """
-    _require_numeric(A, "coinvariant computation")
+    symbolic = ", ".join(A.spec.symbolic_keys())
+    if symbolic:
+        raise ValueError(f"coinvariant computation needs numeric parameters; symbolic: {symbolic}")
     order = A.algebra.order
     basis = A.algebra.basis()
     zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)
@@ -262,45 +259,49 @@ def coinvariants(A: ComoduleAlgebra):
 
 def galois_map_bijective(A: ComoduleAlgebra) -> bool:
     """Whether beta(a tensor b) = (a tensor 1) delta(b) is bijective, proved on
-    the generators of H.
+    the generators of H for every value of the symbolic parameters.
 
     The translation map kappa(h) = beta^-1(1 tensor h) (Schauenburg, "Hopf
     bi-Galois extensions", Comm. Algebra 24, 1996) is kappa(x) = x^-1 tensor
     x on x, with x^-1 = a^-1 x^(N-1), and kappa(yi) = 1 tensor yi - yi x^-1
-    tensor x on yi.  So beta(kappa(x)) = (x^-1 tensor 1) delta(x) and
-    beta(kappa(yi)) = delta(yi) - (yi x^-1 tensor 1) delta(x), each computed
-    in A tensor H and compared with 1 tensor g.  That is enough.  Once delta
-    respects A's relations it is an algebra map, so for z = z[1] tensor z[2]
-    (summed) with beta(z) = 1 tensor h and z' with beta(z') = 1 tensor g,
+    tensor x on yi.  Times a, neither needs a^-1: a kappa(x) = x^(N-1) tensor
+    x and a kappa(yi) = a (1 tensor yi) - yi x^(N-1) tensor x.  So
+    beta(a kappa(x)) = (x^(N-1) tensor 1) delta(x) and beta(a kappa(yi)) =
+    a delta(yi) - (yi x^(N-1) tensor 1) delta(x), each computed in A tensor H
+    and compared with a (1 tensor g).  That is enough.  Once delta respects
+    A's relations it is an algebra map, so for z = z[1] tensor z[2] (summed)
+    with beta(z) = 1 tensor h and z' with beta(z') = 1 tensor g,
     beta(z'[1]z[1] tensor z[2]z'[2]) = 1 tensor hg: the h with 1 tensor h in
     the image of beta form a subalgebra of H.  It holds 1 and the
     generators, so it is H.  beta is left A-linear, so a tensor h =
     beta((a tensor 1)z) is in the image too: beta is onto, and with dim A =
     dim H it is bijective.  False therefore comes only from dim A != dim H.
     A coaction that breaks A's relations, or a generator g with
-    beta(kappa(g)) != 1 tensor g, proves nothing either way, and a
+    beta(a kappa(g)) != a (1 tensor g), proves nothing either way, and a
     ValueError says which.
 
-    Only a must be numeric.  With c or d symbolic every check is a
-    polynomial identity, so True holds for every value of them.  No
-    dim^2-column matrix is built and no basis word of H is visited.
+    Every parameter may be symbolic, and True is a proof for every a != 0, c
+    and d at once, for the fully generic object too.  The rules' left sides
+    hold no parameter, so normal forms and dim A specialize to those at each
+    value, and each check, a polynomial identity, holds at every value; there
+    multiplying by a is injective, since object_spec refuses a = 0.  The
+    parameter ring is a domain, so the check fails exactly where beta(kappa(g))
+    = 1 tensor g fails.  No dim^2-column matrix is built and no basis word of
+    H is visited.
     """
-    a = A.spec.value("a")
-    if isinstance(a, Symbolic):
-        raise ValueError("the Galois map test needs a numeric a; symbolic: a")
     alg, H, T = A.algebra, A.hopf, A.tensor
     if len(alg.basis()) != len(H.basis()):
         return False
     broken = relation_failures("coaction", A.coaction_map)
     if broken:
         raise ValueError(f"the Galois map test needs an algebra map: {'; '.join(broken)}")
-    x_inv = T.element({T.join((0,) * (alg.order - 1), ()): a.inverse()})
-    beta_kappa_x = x_inv * A.coaction_word((0,))
+    a = A.param_poly("a")
+    beta_a_kappa_x = T.element({T.join((0,) * (alg.order - 1), ()): 1}) * A.coaction_word((0,))
     for g, name in enumerate(H.algebra.generators):
-        image = beta_kappa_x
+        image = beta_a_kappa_x
         if g:
-            image = A.coaction_word((g,)) - T.element({T.join((g,), ()): 1}) * beta_kappa_x
-        if image != T.element({T.join((), (g,)): 1}):
+            image = A.coaction_word((g,)) * a - T.element({T.join((g,), ()): 1}) * beta_a_kappa_x
+        if image != T.element({T.join((), (g,)): a}):
             raise ValueError(f"the Galois map test needs the family coaction: "
                              f"beta(kappa({name})) is not 1⊗{name}")
     return True

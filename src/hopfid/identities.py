@@ -17,18 +17,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .commpoly import CommPoly, ParamVar, TVar
-from .comodule import ComoduleAlgebra, Symbolic, galois_object, param_var
+from .comodule import ComoduleAlgebra, Symbolic, galois_object
 from .cyclotomic import CyclotomicNumber, power
 from .hopf import HopfPresentation, antipode, taft, en, trivial_hopf
-from .ncalg import AlgElement, Morphism, PresentedAlgebra, embed, tensor_product
+from .ncalg import AlgElement, Morphism, PresentedAlgebra
 
 __all__ = [
     "FreeComodulePoly",
     "free_algebra",
     "x_symbol",
     "t_var",
-    "t_coaction",
-    "is_coinvariant",
     "mu",
     "is_identity",
     "taft_identity",
@@ -78,10 +76,10 @@ class FreeComodulePoly:
     op is "leaf" (args: an expanded element of T), "sum" or "mul" (two
     polynomials), "scale" (a polynomial and a coefficient) or "pow" (a
     polynomial and an exponent); degree_bound is a static upper bound on the
-    degree.  mu and the coaction evaluate the tree in their own targets; the
-    expanded element, which can be exponentially larger, is built on first
-    use of element, for printing, comparison and degree, under mu's pair
-    bound.
+    degree.  mu, bind_to_object and substitute evaluate the tree in their
+    own targets; the expanded element, which can be exponentially larger, is
+    built on first use of element, for printing, comparison and degree, under
+    mu's pair bound.
     """
 
     __slots__ = ("hopf", "copies", "op", "args", "degree_bound", "_element")
@@ -287,36 +285,6 @@ def t_var(H: HopfPresentation, i: int, h) -> CommPoly:
     return CommPoly.variable(H.algebra.order, TVar(i, r, label))
 
 
-def _t_coaction_image(T: PresentedAlgebra, TH: PresentedAlgebra, gid: int):
-    """X[i,h] -> sum X[i,h1] tensor h2."""
-    H = T.free_hopf
-    i, r = _gen_meta(T, gid)
-    acc = {}
-    for w, c in H.coproduct_word(H.basis()[r]).terms.items():
-        u, v = H.square.split_word(w)
-        key = TH.join((_gen_id(T, i, H.basis_index(u)),), v)
-        acc[key] = acc.get(key, CommPoly.zero(T.order)) + c
-    return AlgElement(TH, acc)
-
-
-@lru_cache(maxsize=None)
-def _t_coaction_map(T: PresentedAlgebra) -> Morphism:
-    TH = tensor_product(T, T.free_hopf.algebra)
-    return Morphism(T, TH, lambda gid: _t_coaction_image(T, TH, gid))
-
-
-def t_coaction(P: FreeComodulePoly) -> AlgElement:
-    """The coaction of T(X_H), valued in T tensor H."""
-    delta = _t_coaction_map(free_algebra(P.hopf, P.copies))
-    return _evaluate(P, lambda e: delta(_lift(e, delta.source)))
-
-
-def is_coinvariant(P: FreeComodulePoly) -> bool:
-    """Whether the coaction fixes P, i.e. sends it to P tensor 1."""
-    image = t_coaction(P)
-    return image == embed(P.element, image.algebra, 0)
-
-
 def _mu_image(T: PresentedAlgebra, A: ComoduleAlgebra, gid: int) -> AlgElement:
     """X[i,h] -> sum t[i,h1] * u(h2)."""
     H = A.hopf
@@ -424,8 +392,8 @@ def bind_to_object(P: FreeComodulePoly, A: ComoduleAlgebra) -> FreeComodulePoly:
     substituted; when no key is left, P itself is returned.
     """
     # a is no catalog parameter: the catalog identities hold for every a
-    pairs = ((param_var(k), A.param_poly(k)) for k in A.spec.keys() if k != "a")
-    assignment = {v: p for v, p in pairs if p != CommPoly.variable(p.order, v)}
+    assignment = {v: p for v, p in A.param_polys.items()
+                  if v.tag != "a" and p != CommPoly.variable(p.order, v)}
     if not assignment:
         return P
 

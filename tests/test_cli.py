@@ -271,8 +271,32 @@ def test_selfcheck_json(capsys):
     assert code == 0
     assert payload["result"]["passed"] is True
     names = [row["name"] for row in payload["result"]["checks"]]
-    assert "hopf axioms" in names
-    assert "seeded associativity" in names
+    assert names == ["hopf axioms", "hopf confluence", "coaction suite",
+                     "object confluence", "galois map"]
+
+
+def test_selfcheck_accepts_an_unused_seed(capsys):
+    # no check is randomized, so --seed changes nothing, in either position
+    plain = run(capsys, "selfcheck", "--hopf", "taft:3")
+    assert plain[0] == 0
+    assert run(capsys, "selfcheck", "--hopf", "taft:3", "--seed", "7") == plain
+    assert run(capsys, "--seed", "7", "selfcheck", "--hopf", "taft:3") == plain
+
+
+def test_selfcheck_galois_refusal_is_a_fail_row(capsys, monkeypatch):
+    message = "the Galois map test needs the family coaction: beta(kappa(y)) is not 1⊗y"
+
+    def refused(A):
+        raise ValueError(message)
+
+    monkeypatch.setattr(cli, "galois_map_bijective", refused)
+    code, out, err = run(capsys, "selfcheck", "--hopf", "taft:2")
+    assert (code, err) == (1, "")
+    assert out.endswith(f"FAIL galois map\n     {message}\ntaft:2: self check FAILED\n")
+    code, payload = run_json(capsys, "selfcheck", "--hopf", "en:1")
+    assert code == 1
+    assert payload["result"]["passed"] is False
+    assert payload["result"]["checks"][-1] == {"name": "galois map", "passed": False}
 
 
 def test_json_deterministic(capsys):

@@ -2,15 +2,19 @@
 
 galois_map_by_elimination assembles the matrix of beta(a ⊗ b) = (a ⊗ 1)delta(b)
 on all dim^2 product words of basis words and computes its exact rank.
-galois_map_bijective proves the same verdict from beta(kappa(g)) = 1 ⊗ g on
-the generators g of H alone, kappa the translation map, since the h with
-1 ⊗ h in the image of beta form a subalgebra; on every numeric object below
-the two must agree.
+galois_map_bijective proves the same verdict from beta(a kappa(g)) = a (1 ⊗ g)
+on the generators g of H alone, kappa the translation map, since the h with
+1 ⊗ h in the image of beta form a subalgebra, and with a symbolic it proves
+it for every a != 0 at once; on every numeric object below, each a
+specialization of that proof, the two must agree.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from hopfid.comodule import en_object_spec, galois_map_bijective, galois_object, taft_object_spec
+from hopfid.cyclotomic import primitive_root
 from hopfid.linalg import rank
 from hopfid.ncalg import embed
 
@@ -30,6 +34,8 @@ def galois_map_by_elimination(A) -> bool:
 
 
 TAFT_SPECS = [taft_object_spec(n, a=a, c=c) for n in range(2, 7) for a in (1, 2) for c in (0, 1)]
+TAFT_SPECS += [taft_object_spec(4, a=a, c=c)
+               for a in (-4, Fraction(1, 2), 1 + primitive_root(4)) for c in (0, 1)]
 EN_SPECS = [
     en_object_spec(1, a=1, c=[1]),
     en_object_spec(1, a=2, c=[0]),

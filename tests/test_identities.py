@@ -22,19 +22,18 @@ from hopfid.identities import (
     distinguish,
     en_identities,
     free_algebra,
-    is_coinvariant,
     is_identity,
     matrix_identity_witness,
     mu,
     standard_polynomial,
     substitute,
-    t_coaction,
     t_var,
     taft_identity,
     verify_matrix_identity,
     x_symbol,
 )
 from hopfid.ncalg import AlgElement, embed, tensor_product
+from free_coaction import is_coinvariant, t_coaction
 
 
 def tvar(H, i, word, label):

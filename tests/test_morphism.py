@@ -17,10 +17,10 @@ from hopfid.identities import (
     free_algebra,
     mu,
     substitute,
-    t_coaction,
     x_symbol,
 )
 from hopfid.ncalg import Morphism
+from free_coaction import t_coaction
 from propsuites import random_element, random_free
 
 CASES = 12
