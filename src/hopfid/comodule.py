@@ -19,8 +19,9 @@ in the image of beta form a subalgebra, so no basis word is visited and
 nothing is eliminated.  Multiplied by a, kappa needs no a^-1, so every
 parameter may stay symbolic and True is a proof for every a != 0, c and d
 at once; it refuses a coaction that breaks A's relations or is not the
-family's on generators.  coinvariants still solves a linear system and
-needs every parameter numeric.
+family's on generators.  coinvariants reads A^coH = k off that proof and
+solves a linear system only where the proof says nothing; it needs every
+parameter numeric.
 """
 
 from __future__ import annotations
@@ -224,17 +225,29 @@ def coaction(A: ComoduleAlgebra, e: AlgElement) -> AlgElement:
 
 
 def coinvariants(A: ComoduleAlgebra):
-    """A basis of the coinvariant subalgebra, by exact linear algebra.
+    """A basis of the coinvariant subalgebra A^coH; needs numeric parameters.
 
-    Solves delta(v) = v tensor 1 over the object's basis; needs numeric
-    parameters.  When galois_map_bijective proves beta bijective (on the
-    generators of H) the result is the span of 1: an injective beta already
-    forces A^coH = k, since a coinvariant b has beta(1 tensor b - b tensor 1)
-    = delta(b) - b tensor 1 = 0.
+    Read from the Galois proof: when galois_map_bijective proves beta
+    bijective the result is [1], since an injective beta already forces
+    A^coH = k (Kreimer and Takeuchi, Indiana Univ. Math. J. 30, 1981): a
+    coinvariant b has beta(1 tensor b - b tensor 1) = delta(b) - b tensor 1
+    = 0.  Where the proof says nothing (dim A != dim H, or a coaction it
+    refuses with a ValueError) the coinvariants are solved for by exact
+    elimination.
     """
     symbolic = ", ".join(A.spec.symbolic_keys())
     if symbolic:
         raise ValueError(f"coinvariant computation needs numeric parameters; symbolic: {symbolic}")
+    try:
+        bijective = galois_map_bijective(A)
+    except ValueError:  # a coaction the proof refuses says nothing about A^coH
+        bijective = False
+    return [A.algebra.one()] if bijective else _coinvariants_by_elimination(A)
+
+
+def _coinvariants_by_elimination(A: ComoduleAlgebra):
+    """Solve delta(v) = v tensor 1 over the object's basis by exact linear
+    algebra; every parameter must be numeric."""
     order = A.algebra.order
     basis = A.algebra.basis()
     zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)

@@ -151,7 +151,8 @@ class PresentedAlgebra:
         joins the results (its normal words, by Bergman's diamond lemma).
         Only an algebra with rules caches its normal forms: a tensor word is
         mostly the one-off join of two product terms, and its factors'
-        normal forms are cached in the factors."""
+        normal forms are cached in the factors; a free algebra's word is
+        its own normal form."""
         word = tuple(word)
         one = self._one_poly
         if self.tensor_factors is not None:  # no rules: nothing is left to rewrite
@@ -163,6 +164,8 @@ class PresentedAlgebra:
                          for done, c in terms for w, fc in nf]
             # distinct factor words join to distinct words, and coefficients are nonzero
             return _raw(self, {self.join(*done): c for done, c in terms})
+        if not self.rules:  # a free algebra: every word is normal
+            return _raw(self, {word: one})
         hit = self._nf_cache.get(word)
         if hit is not None:
             return hit

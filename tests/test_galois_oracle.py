@@ -6,15 +6,26 @@ galois_map_bijective proves the same verdict from beta(a kappa(g)) = a (1 ⊗ g)
 on the generators g of H alone, kappa the translation map, since the h with
 1 ⊗ h in the image of beta form a subalgebra, and with a symbolic it proves
 it for every a != 0 at once; on every numeric object below, each a
-specialization of that proof, the two must agree.
+specialization of that proof, the two must agree.  coinvariants reads
+A^coH = k off that proof, and the exact elimination it falls back on is the
+oracle for it on numeric objects.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from hopfid.comodule import en_object_spec, galois_map_bijective, galois_object, taft_object_spec
+from hopfid import comodule
+from hopfid.comodule import (
+    _coinvariants_by_elimination,
+    coinvariants,
+    en_object_spec,
+    galois_map_bijective,
+    galois_object,
+    taft_object_spec,
+)
 from hopfid.cyclotomic import primitive_root
+from hopfid.exprparse import parse_object_spec
 from hopfid.linalg import rank
 from hopfid.ncalg import embed
 
@@ -52,3 +63,32 @@ EN_SPECS = [
 def test_certificate_agrees_with_elimination(spec):
     A = galois_object(spec)
     assert galois_map_bijective(A) is galois_map_by_elimination(A) is True
+
+
+COINVARIANT_SPECS = [taft_object_spec(n, a=a, c=c) for n in range(2, 6)
+                     for a in (1, 2, -4, Fraction(1, 2)) for c in (0, 1)]
+# galois_linear's E(n) objects, and each with every c and d zero
+COINVARIANT_SPECS += [parse_object_spec(s) for s in (
+    "en:1;a=1;c1=1",
+    "en:2;a=1;c1=1;c2=-1;d1,2=1",
+    "en:3;a=1;c1=1;c2=-1;c3=1;d1,2=1;d1,3=-1;d2,3=1",
+    "en:1;a=1;c1=0",
+    "en:2;a=1;c1=0;c2=0;d1,2=0",
+    "en:3;a=1;c1=0;c2=0;c3=0;d1,2=0;d1,3=0;d2,3=0",
+)]
+
+
+@pytest.mark.parametrize("spec", COINVARIANT_SPECS, ids=str)
+def test_coinvariants_agree_with_elimination(spec):
+    A = galois_object(spec)
+    assert coinvariants(A) == _coinvariants_by_elimination(A) == [A.algebra.one()]
+
+
+def test_coinvariants_of_a_galois_object_need_no_elimination(monkeypatch):
+    def refuse(A):
+        raise AssertionError("eliminated although beta is proved bijective")
+
+    monkeypatch.setattr(comodule, "_coinvariants_by_elimination", refuse)
+    for spec in COINVARIANT_SPECS:
+        A = galois_object(spec)
+        assert coinvariants(A) == [A.algebra.one()]

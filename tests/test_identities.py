@@ -1,5 +1,7 @@
 """Tests for the free comodule algebra, the universal map, and the catalogs."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hopfid.cyclotomic import CyclotomicNumber
 from hopfid.hopf import en, taft, trivial_hopf
 from hopfid.exprparse import parse_expression
 from hopfid.identities import (
+    _perm_sign,
     MAX_MU_PAIRS,
     Distinguished,
     FreeComodulePoly,
@@ -430,6 +433,47 @@ def test_matrix_identity_witness_refuses_a_huge_m_at_once():
         matrix_identity_witness(10**20, 2)
     with pytest.raises(ValueError, match="needs about 7085880 operations"):
         matrix_identity_witness(5, 3)
+
+
+def _witness_over_all_assignments(m, k):
+    """The first witness over every assignment, repeated units included: the
+    oracle for matrix_identity_witness, which skips the repeats."""
+    units = [(i, j) for i in range(k) for j in range(k)]
+    perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(m))]
+    for assign in itertools.product(units, repeat=m):
+        acc = {}
+        for perm, sign in perms:
+            seq = [assign[p] for p in perm]
+            if all(seq[t][1] == seq[t + 1][0] for t in range(m - 1)):
+                key = (seq[0][0], seq[-1][1])
+                acc[key] = acc.get(key, 0) + sign
+        value = {unit: c for unit, c in sorted(acc.items()) if c}
+        if value:
+            return assign, value
+    return None
+
+
+def test_matrix_identity_witness_agrees_with_the_walk_over_all_assignments():
+    # every (m, k) with (k^2)^m m! <= 2e5; at m = 1 (s_1 = X1, nonzero on the
+    # first unit) only k <= 20 and the largest k, 447: the other 426 would
+    # spend seconds building lists of units and nothing else
+    grid = [(1, k) for k in (*range(1, 21), 447)]
+    for m in range(2, 9):
+        k = 1
+        while k ** (2 * m) * math.factorial(m) <= 2 * 10**5:
+            grid.append((m, k))
+            k += 1
+    for m, k in grid:
+        found = matrix_identity_witness(m, k)
+        assert found == _witness_over_all_assignments(m, k), (m, k)
+        # Amitsur-Levitzki: s_m vanishes on k x k matrices exactly from m = 2k on
+        assert (found is None) == (m >= 2 * k), (m, k)
+
+
+def test_free_algebra_caches_no_normal_forms():
+    for n in (2, 4):
+        T = taft_identity(n).element.algebra
+        assert not T.rules and T._nf_cache == {}
 
 
 def test_substitute_endomorphism():
