@@ -16,7 +16,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 __all__ = [
-    "Rational",
     "CyclotomicNumber",
     "cyclotomic_polynomial",
     "field_degree",
@@ -24,10 +23,6 @@ __all__ = [
     "power",
     "primitive_root",
 ]
-
-# The rational layer.  Fraction is always stored gcd-reduced with a positive
-# denominator, which is exactly the invariant the scalar stack needs.
-Rational = Fraction
 
 
 def _int_poly_mul(p, q):

@@ -24,8 +24,8 @@ from .commpoly import CommPoly, ParamVar
 from .comodule import Symbolic, object_spec
 from .cyclotomic import CyclotomicNumber, power, primitive_root
 from .hopf import HopfPresentation, family_hopf
-from .identities import FreeComodulePoly, free_algebra, t_var, x_symbol
-from .ncalg import AlgElement, PresentedAlgebra
+from .identities import FreeComodulePoly, t_var, x_symbol
+from .ncalg import MAX_BASIS_WORDS, AlgElement, PresentedAlgebra
 
 __all__ = [
     "ParseError",
@@ -465,7 +465,6 @@ def parse_expression(text, context, max_degree=None):
             hopf=context,
             max_degree=max_degree,
         )
-        free_algebra(context, 1)
     elif isinstance(context, PresentedAlgebra):
         ctx = _Context(
             mode="elem",
@@ -518,9 +517,9 @@ def _family_head(head, shown, matrix=False):
     if family == "en" and n < 1:
         raise ParseError("the E(n) family needs n >= 1")
     dim = n * n if family == "taft" else 2 ** (n + 1)
-    if dim > 100000:
+    if dim > MAX_BASIS_WORDS:
         raise ParseError(
-            f"{family}:{n} has dimension {dim}, past the 100000-word bound"
+            f"{family}:{n} has dimension {dim}, past the {MAX_BASIS_WORDS}-word bound"
         )
     return family, n
 

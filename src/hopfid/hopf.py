@@ -224,7 +224,7 @@ class HopfAxiomReport(namedtuple("HopfAxiomReport", "hopf failures")):
 
     def __str__(self):
         if self.ok:
-            return f"{self.hopf}: all Hopf axioms verified on the basis"
+            return f"{self.hopf}: all Hopf axioms proved on generators"
         lines = [f"{self.hopf}: {len(self.failures)} axiom failures"]
         lines.extend(f"  {f}" for f in self.failures)
         return "\n".join(lines)

@@ -466,12 +466,12 @@ def matrix_identity_witness(m: int, k: int, budget: int = 5_000_000):
     Returns (assignment, value): assignment lists the unit (i, j) put in for
     X1..Xm, and value maps each unit of the nonzero result to its integer
     coefficient.  By multilinearity it is enough to substitute matrix units
-    in all ways, and s_m is alternating, so an assignment that repeats a
-    unit gives 0: only the assignments of m distinct units are walked, in
-    the lexicographic order of all assignments.  Each product of units is a
-    unit or zero, so terms are evaluated by chaining indices.  Guarded by an
-    explicit combinatorial budget on (k^2)^m m!, the cost of all
-    assignments.
+    in all ways; s_m is alternating, so repeating a unit gives 0 and
+    reordering flips the sign: only sorted sets of m distinct units are
+    walked, lexicographically, and the first nonzero assignment of all is
+    sorted, so it is the one found.  Each product of units is a unit or
+    zero, so terms are evaluated by chaining indices.  Guarded by an
+    explicit combinatorial budget on (k^2)^m m!, the cost of all assignments.
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
@@ -483,9 +483,11 @@ def matrix_identity_witness(m: int, k: int, budget: int = 5_000_000):
             raise ValueError(
                 f"matrix check needs {about} {cost} operations, over the budget {budget}"
             )
+    if m > k * k:
+        return None
     units = [(i, j) for i in range(k) for j in range(k)]
     perms = [(p, _perm_sign(p)) for p in itertools.permutations(range(m))]
-    for assign in itertools.permutations(units, m):
+    for assign in itertools.combinations(units, m):
         acc: dict = {}
         for perm, sign in perms:
             seq = [assign[p] for p in perm]

@@ -33,6 +33,8 @@ __all__ = [
 
 Word = tuple  # tuple of generator indices
 
+MAX_BASIS_WORDS = 100000  # for basis(), and for the family sizes a spec may name
+
 
 def deglex_key(word):
     return (len(word), word)
@@ -86,9 +88,6 @@ class PresentedAlgebra:
             return self._gen_index[name]
         except KeyError:
             raise ValueError(f"{self.name} has no generator {name!r}") from None
-
-    def word(self, *names) -> Word:
-        return tuple(self.gen_index(n) for n in names)
 
     def coerce_poly(self, value) -> CommPoly:
         if isinstance(value, CommPoly):
@@ -196,23 +195,23 @@ class PresentedAlgebra:
 
     # -- basis enumeration ---------------------------------------------------
 
-    def basis(self, limit: int = 100000):
-        """All normal words in deglex order; errors out past limit words."""
+    def basis(self):
+        """All normal words in deglex order; errors out past MAX_BASIS_WORDS."""
         if self._basis_cache is not None:
             return self._basis_cache
         out = [()]
         level = [()]
         if self.tensor_factors is not None:
-            parts = itertools.product(*(f.basis(limit) for f in self.tensor_factors))
-            out = sorted(itertools.starmap(self.join, itertools.islice(parts, limit + 1)),
-                         key=deglex_key)
+            parts = itertools.islice(itertools.product(*(f.basis() for f in self.tensor_factors)),
+                                     MAX_BASIS_WORDS + 1)
+            out = sorted(itertools.starmap(self.join, parts), key=deglex_key)
             level = []
         # w is already normal, so a redex of w + (g,) can only be a suffix:
         # the left side of a rule that ends in g
         ending = [[] for _ in self.generators]
         for r in self.rules:
             ending[r.lhs[-1]].append(r.lhs)
-        while level and len(out) <= limit:
+        while level and len(out) <= MAX_BASIS_WORDS:
             nxt = []
             for w in level:
                 for g, lhss in enumerate(ending):
@@ -221,9 +220,9 @@ class PresentedAlgebra:
                         nxt.append(cand)
             out.extend(nxt)
             level = nxt
-        if len(out) > limit:
+        if len(out) > MAX_BASIS_WORDS:
             raise ValueError(
-                f"{self.name}: more than {limit} normal words; "
+                f"{self.name}: more than {MAX_BASIS_WORDS} normal words; "
                 "is this algebra finite dimensional?"
             )
         self._basis_cache = tuple(out)

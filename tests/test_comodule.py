@@ -16,8 +16,9 @@ from hopfid.comodule import (
     taft_object_spec,
 )
 from hopfid.cyclotomic import CyclotomicNumber
+from hopfid.exprparse import parse_object_spec
 from hopfid.hopf import coproduct, en, family_hopf, taft
-from hopfid.ncalg import AlgElement, Morphism, embed
+from hopfid.ncalg import AlgElement, Morphism, PresentedAlgebra, embed
 from test_galois_oracle import galois_map_by_elimination
 
 
@@ -236,6 +237,37 @@ def test_galois_map_bijective_for_every_c_and_d(spec):
     # only the coinvariants still need every parameter numeric
     with pytest.raises(ValueError, match="coinvariant computation needs numeric parameters"):
         coinvariants(A)
+
+
+# the numeric objects of the galois_linear benchmark workload
+GALOIS_LINEAR_SPECS = [f"taft:{n};a=1;c={c}" for n in (2, 3, 4) for c in (0, 1)] + [
+    "en:1;a=1;c1=1",
+    "en:2;a=1;c1=1;c2=-1;d1,2=1",
+    "en:3;a=1;c1=1;c2=-1;c3=1;d1,2=1;d1,3=-1;d2,3=1",
+]
+
+
+def test_galois_map_visits_no_basis_word(monkeypatch):
+    specs = [object_spec("taft", n) for n in range(2, 9)]
+    specs += [object_spec("en", n) for n in range(1, 5)]
+    specs += [parse_object_spec(text) for text in GALOIS_LINEAR_SPECS]
+    objects = [galois_object(spec) for spec in specs]  # the section loop walks H's basis
+
+    def refuse(self):
+        raise AssertionError(f"basis of {self.name} enumerated")
+
+    monkeypatch.setattr(PresentedAlgebra, "basis", refuse)
+    for A in objects:
+        assert galois_map_bijective(A) is True, A.name
+
+
+def test_galois_map_refuses_other_left_sides():
+    # the proof counts dimensions by the rules' left sides: without y^2 -> c
+    # A is infinite dimensional, and the proof says nothing either way
+    A = ComoduleAlgebra(taft_object_spec(2, a=1, c=0))
+    A.algebra.rules = A.algebra.rules[:-1]
+    with pytest.raises(ValueError, match="needs the rules' left sides of taft:2$"):
+        galois_map_bijective(A)
 
 
 def test_galois_map_proved_with_a_symbolic():

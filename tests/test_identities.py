@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfid import identities
 from hopfid.commpoly import CommPoly, ParamVar, TVar
 from hopfid.comodule import Symbolic, en_object_spec, galois_object, object_spec, taft_object_spec
 from hopfid.cyclotomic import CyclotomicNumber
@@ -433,6 +434,22 @@ def test_matrix_identity_witness_refuses_a_huge_m_at_once():
         matrix_identity_witness(10**20, 2)
     with pytest.raises(ValueError, match="needs about 7085880 operations"):
         matrix_identity_witness(5, 3)
+
+
+def test_matrix_identity_witness_past_k_squared_units_builds_no_permutation(monkeypatch):
+    calls = []
+
+    def counted(perm):
+        calls.append(perm)
+        return _perm_sign(perm)
+
+    monkeypatch.setattr(identities, "_perm_sign", counted)
+    # no set of m distinct units exists, so s_m vanishes without a walk
+    for m, k in ((2, 1), (8, 1), (5, 2), (6, 2)):
+        assert matrix_identity_witness(m, k) is None
+    assert calls == []
+    assert matrix_identity_witness(3, 2) is not None
+    assert len(calls) == 6
 
 
 def _witness_over_all_assignments(m, k):

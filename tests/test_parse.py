@@ -366,6 +366,14 @@ def test_parse_hopf_spec():
         parse_hopf_spec("taft:3;a=1")
 
 
+def test_family_size_past_the_basis_bound():
+    # the spec parser and PresentedAlgebra.basis share one bound, 100000 words
+    with pytest.raises(ParseError, match="^taft:317 has dimension 100489, past the 100000-word bound$"):
+        parse_hopf_spec("taft:317")
+    with pytest.raises(ParseError, match="^en:16 has dimension 131072, past the 100000-word bound$"):
+        parse_object_spec("en:16;a=1")
+
+
 def test_parse_object_spec_taft():
     spec = parse_object_spec("taft:3")
     assert spec.family == "taft"
