@@ -20,8 +20,8 @@ so no basis word is visited and nothing is eliminated.  Multiplied by a,
 kappa needs no a^-1, so every parameter may stay symbolic and True is a
 proof for every a != 0, c and d at once; a ValueError refuses other left
 sides and a coaction that breaks A's relations or is not the family's on
-generators.  coinvariants reads A^coH = k off that proof and eliminates
-only where it refuses; it needs every parameter numeric.
+generators.  coinvariants reads A^coH = k off that proof, and raises its
+ValueError; it needs every parameter numeric.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from functools import lru_cache
 
 from .commpoly import CommPoly, ParamVar
 from .cyclotomic import CyclotomicNumber
-from .hopf import HopfPresentation, check_coaction_laws, coaction_images
+from .hopf import CheckReport, HopfPresentation, check_coaction_laws, coaction_images
 from .hopf import family_hopf, family_relations, relation_failures
-from .linalg import kernel_basis
 from .ncalg import AlgElement, Morphism, PresentedAlgebra, tensor_product
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "coinvariants",
     "galois_map_bijective",
     "check_comodule",
-    "ComoduleReport",
 ]
 
 
@@ -227,46 +225,17 @@ def coaction(A: ComoduleAlgebra, e: AlgElement) -> AlgElement:
 def coinvariants(A: ComoduleAlgebra):
     """A basis of the coinvariant subalgebra A^coH; needs numeric parameters.
 
-    Read from the Galois proof: when galois_map_bijective proves beta
-    bijective the result is [1], since an injective beta already forces
-    A^coH = k (Kreimer and Takeuchi, Indiana Univ. Math. J. 30, 1981): a
-    coinvariant b has beta(1 tensor b - b tensor 1) = delta(b) - b tensor 1
-    = 0.  Where the proof says nothing, which it says with a ValueError,
-    the coinvariants are solved for by exact elimination.
+    Read from the Galois proof: galois_map_bijective proves beta bijective,
+    and an injective beta already forces A^coH = k (Kreimer and Takeuchi,
+    Indiana Univ. Math. J. 30, 1981): a coinvariant b has beta(1 tensor b -
+    b tensor 1) = delta(b) - b tensor 1 = 0.  So the result is [1], and
+    where the proof says nothing its ValueError is raised here too.
     """
     symbolic = ", ".join(A.spec.symbolic_keys())
     if symbolic:
         raise ValueError(f"coinvariant computation needs numeric parameters; symbolic: {symbolic}")
-    try:
-        galois_map_bijective(A)
-    except ValueError:  # a refused proof says nothing about A^coH
-        return _coinvariants_by_elimination(A)
+    galois_map_bijective(A)
     return [A.algebra.one()]
-
-
-def _coinvariants_by_elimination(A: ComoduleAlgebra):
-    """Solve delta(v) = v tensor 1 over the object's basis by exact linear
-    algebra; every parameter must be numeric."""
-    order = A.algebra.order
-    basis = A.algebra.basis()
-    zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)
-    rows = {}  # tensor word -> sparse row over the basis columns
-    for j, w in enumerate(basis):
-        for tw, c in A.coaction_word(w).terms.items():
-            rows.setdefault(tw, {})[j] = c.constant_value()
-        # less w ⊗ 1, w being normal; kernel_basis drops an entry that cancels
-        row = rows.setdefault(A.tensor.join(w, ()), {})
-        row[j] = row.get(j, zero) - one
-    vectors = kernel_basis(list(rows.values()), len(basis), order)
-    out = []
-    for vec in vectors:
-        terms = {
-            basis[j]: CommPoly.constant(v)
-            for j, v in enumerate(vec)
-            if not v.is_zero()
-        }
-        out.append(AlgElement(A.algebra, terms))
-    return out
 
 
 def galois_map_bijective(A: ComoduleAlgebra) -> bool:
@@ -322,22 +291,7 @@ def galois_map_bijective(A: ComoduleAlgebra) -> bool:
     return True
 
 
-class ComoduleReport(namedtuple("ComoduleReport", "name failures")):
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __str__(self):
-        if self.ok:
-            return f"{self.name}: comodule algebra checks pass"
-        lines = [f"{self.name}: {len(self.failures)} comodule failures"]
-        lines.extend(f"  {f}" for f in self.failures)
-        return "\n".join(lines)
-
-
-def check_comodule(A: ComoduleAlgebra) -> ComoduleReport:
+def check_comodule(A: ComoduleAlgebra) -> CheckReport:
     """Structural checks: the coaction is a well defined coassociative,
     counital algebra map and the section intertwines it with the coproduct.
 
@@ -359,4 +313,4 @@ def check_comodule(A: ComoduleAlgebra) -> ComoduleReport:
         if A.coaction_word(h) != AlgElement(A.tensor, u_id):
             name = H.algebra.render_word(h)
             failures.append(f"section does not intertwine the coactions on {name}")
-    return ComoduleReport(A.name, tuple(failures))
+    return CheckReport(A.name, tuple(failures), "comodule algebra checks pass", "comodule")

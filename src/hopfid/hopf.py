@@ -43,7 +43,7 @@ __all__ = [
     "check_hopf_axioms",
     "check_coaction_laws",
     "relation_failures",
-    "HopfAxiomReport",
+    "CheckReport",
 ]
 
 
@@ -215,7 +215,11 @@ def qbinom(m: int, k: int, q: CyclotomicNumber) -> CyclotomicNumber:
     return qbinom(m - 1, k - 1, q) + q**k * qbinom(m - 1, k, q)
 
 
-class HopfAxiomReport(namedtuple("HopfAxiomReport", "hopf failures")):
+class CheckReport(namedtuple("CheckReport", "name failures passed noun")):
+    """The failures of one suite of checks on name.  str is "<name>:
+    <passed>" when there are none, else "<name>: N <noun> failures" and one
+    line per failure."""
+
     __slots__ = ()
 
     @property
@@ -224,8 +228,8 @@ class HopfAxiomReport(namedtuple("HopfAxiomReport", "hopf failures")):
 
     def __str__(self):
         if self.ok:
-            return f"{self.hopf}: all Hopf axioms proved on generators"
-        lines = [f"{self.hopf}: {len(self.failures)} axiom failures"]
+            return f"{self.name}: {self.passed}"
+        lines = [f"{self.name}: {len(self.failures)} {self.noun} failures"]
         lines.extend(f"  {f}" for f in self.failures)
         return "\n".join(lines)
 
@@ -274,7 +278,7 @@ def check_coaction_laws(
     return failures
 
 
-def check_hopf_axioms(H: HopfPresentation) -> HopfAxiomReport:
+def check_hopf_axioms(H: HopfPresentation) -> CheckReport:
     """Coassociativity, both counit laws and both antipode laws, proved from
     the relations and the generators.
 
@@ -309,4 +313,4 @@ def check_hopf_axioms(H: HopfPresentation) -> HopfAxiomReport:
             failures.append(f"antipode law m(id x S)Delta fails on {name}")
 
     failures += relation_failures("antipode", H.antipode_map)
-    return HopfAxiomReport(H.name, tuple(failures))
+    return CheckReport(H.name, tuple(failures), "all Hopf axioms proved on generators", "axiom")

@@ -455,12 +455,16 @@ def standard_polynomial(m: int) -> FreeComodulePoly:
     return FreeComodulePoly(H, m, AlgElement(T, terms))
 
 
-def verify_matrix_identity(m: int, k: int, budget: int = 5_000_000) -> bool:
+# the most operations, (k^2)^m m!, that a matrix check may cost
+MATRIX_BUDGET = 5_000_000
+
+
+def verify_matrix_identity(m: int, k: int) -> bool:
     """Whether the standard polynomial of degree m vanishes on k x k matrices."""
-    return matrix_identity_witness(m, k, budget) is None
+    return matrix_identity_witness(m, k) is None
 
 
-def matrix_identity_witness(m: int, k: int, budget: int = 5_000_000):
+def matrix_identity_witness(m: int, k: int):
     """The first matrix-unit assignment on which s_m is nonzero, or None.
 
     Returns (assignment, value): assignment lists the unit (i, j) put in for
@@ -470,18 +474,18 @@ def matrix_identity_witness(m: int, k: int, budget: int = 5_000_000):
     reordering flips the sign: only sorted sets of m distinct units are
     walked, lexicographically, and the first nonzero assignment of all is
     sorted, so it is the one found.  Each product of units is a unit or
-    zero, so terms are evaluated by chaining indices.  Guarded by an
-    explicit combinatorial budget on (k^2)^m m!, the cost of all assignments.
+    zero, so terms are evaluated by chaining indices.  Guarded by
+    MATRIX_BUDGET on (k^2)^m m!, the cost of all assignments.
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
     cost = 1  # (k*k)^m * m!, built a factor at a time so a huge m stops early
     for i in range(1, m + 1):
         cost *= k * k * i
-        if cost > budget:
+        if cost > MATRIX_BUDGET:
             about = "about" if i == m else "more than"
             raise ValueError(
-                f"matrix check needs {about} {cost} operations, over the budget {budget}"
+                f"matrix check needs {about} {cost} operations, over the budget {MATRIX_BUDGET}"
             )
     if m > k * k:
         return None

@@ -207,16 +207,15 @@ class PresentedAlgebra:
             out = sorted(itertools.starmap(self.join, parts), key=deglex_key)
             level = []
         # w is already normal, so a redex of w + (g,) can only be a suffix:
-        # the left side of a rule that ends in g
-        ending = [[] for _ in self.generators]
-        for r in self.rules:
-            ending[r.lhs[-1]].append(r.lhs)
+        # one set lookup per length of a left side
+        lhss = {r.lhs for r in self.rules}
+        lengths = {len(L) for L in lhss}
         while level and len(out) <= MAX_BASIS_WORDS:
             nxt = []
             for w in level:
-                for g, lhss in enumerate(ending):
+                for g in range(len(self.generators)):
                     cand = w + (g,)
-                    if not any(cand[-len(L):] == L for L in lhss):
+                    if not any(cand[-k:] in lhss for k in lengths):
                         nxt.append(cand)
             out.extend(nxt)
             level = nxt
@@ -434,12 +433,13 @@ class Morphism:
     image is a function of the generator index (pass tuple(seq).__getitem__
     for images listed in order); each generator image is computed at most
     once.  word(w) multiplies generator images left to right (right to
-    left when anti) and keeps the result for w alone, so only the words
-    callers ask for by name are cached; it starts from the image of w less
-    its last letter (first when anti) if that word was asked for before, as
-    happens when callers walk a basis in order.  Applied to an element, the
-    map walks its words in sorted order and reuses the image of the prefix
-    each word shares with the one before.
+    left when anti) and keeps the result for w alone; it starts from the
+    image of w less its last letter (first when anti) if that word was
+    asked for before, as happens when callers walk a basis in order.
+    Applied to an element, the map sums word(w) * c over its terms, so it
+    caches the image of each word it meets: from H or A those words are
+    normal, at most dim of them, and from T(X_H), the source of mu and of
+    substitute, they are the words of the leaves.
     """
 
     def __init__(self, source, target, image, anti=False):
@@ -481,21 +481,10 @@ class Morphism:
     def __call__(self, elem: AlgElement) -> AlgElement:
         if elem.algebra is not self.source:
             raise ValueError(f"element does not belong to {self.source.name}")
-        keyed = [(w[::-1] if self.anti else w, c) for w, c in elem.terms.items()]
-        keyed.sort(key=lambda p: p[0])
-        stack = [self.target.one()]  # stack[k] is the image of prev[:k]
-        prev = ()
         acc = {}
-        for w, c in keyed:
-            k = 0
-            while k < len(prev) and k < len(w) and prev[k] == w[k]:
-                k += 1
-            del stack[k + 1 :]
-            for g in w[k:]:
-                stack.append(stack[-1] * self.generator(g))
-            for tw, tc in stack[-1].terms.items():
+        for w, c in elem.terms.items():
+            for tw, tc in self.word(w).terms.items():
                 acc[tw] = acc[tw] + tc * c if tw in acc else tc * c
-            prev = w
         return AlgElement(self.target, acc)
 
 

@@ -19,7 +19,7 @@ from hopfid.cyclotomic import CyclotomicNumber
 from hopfid.exprparse import parse_object_spec
 from hopfid.hopf import coproduct, en, family_hopf, taft
 from hopfid.ncalg import AlgElement, Morphism, PresentedAlgebra, embed
-from test_galois_oracle import galois_map_by_elimination
+from test_galois_oracle import coinvariants_by_elimination, galois_map_by_elimination
 
 
 def test_taft_spec_construction():
@@ -208,7 +208,10 @@ def test_corrupted_coaction_is_not_galois():
     # the relations still hold, so the certificate names the generator it cannot invert
     with pytest.raises(ValueError, match=r"family coaction: beta\(kappa\(y\)\) is not 1⊗y"):
         galois_map_bijective(A)
-    assert len(coinvariants(A)) == 2
+    # coinvariants are read off that proof, so they refuse too; elimination finds 2
+    with pytest.raises(ValueError, match=r"family coaction: beta\(kappa\(y\)\) is not 1⊗y"):
+        coinvariants(A)
+    assert len(coinvariants_by_elimination(A)) == 2
     # with a symbolic the proof refuses the same generator
     with pytest.raises(ValueError, match=r"family coaction: beta\(kappa\(y\)\) is not 1⊗y"):
         galois_map_bijective(_dropping_1_tensor_y(taft_object_spec(2, c=0)))

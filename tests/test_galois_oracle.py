@@ -7,27 +7,27 @@ on the generators g of H alone, kappa the translation map, since the h with
 1 ⊗ h in the image of beta form a subalgebra, and with a symbolic it proves
 it for every a != 0 at once; on every numeric object below, each a
 specialization of that proof, the two must agree.  coinvariants reads
-A^coH = k off that proof, and the exact elimination it falls back on is the
-oracle for it on numeric objects.
+A^coH = k off that proof; coinvariants_by_elimination solves for A^coH by
+exact elimination and is the oracle for it on numeric objects.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from hopfid import comodule
+from hopfid import linalg
+from hopfid.commpoly import CommPoly
 from hopfid.comodule import (
-    _coinvariants_by_elimination,
     coinvariants,
     en_object_spec,
     galois_map_bijective,
     galois_object,
     taft_object_spec,
 )
-from hopfid.cyclotomic import primitive_root
+from hopfid.cyclotomic import CyclotomicNumber, primitive_root
 from hopfid.exprparse import parse_object_spec
-from hopfid.linalg import rank
-from hopfid.ncalg import embed
+from hopfid.linalg import kernel_basis, rank
+from hopfid.ncalg import AlgElement, embed
 
 
 def galois_map_by_elimination(A) -> bool:
@@ -42,6 +42,22 @@ def galois_map_by_elimination(A) -> bool:
                 rows.setdefault(tw, {})[i * dim + j] = c.constant_value()
     assert len(rows) <= dim * dim, "tensor basis larger than expected"
     return rank(list(rows.values())) == dim * dim
+
+
+def coinvariants_by_elimination(A) -> list:
+    """A basis of A^coH: delta(v) = v ⊗ 1 solved over the basis; numeric A only."""
+    order = A.algebra.order
+    basis = A.algebra.basis()
+    zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)
+    rows = {}  # tensor word -> sparse row over the basis columns
+    for j, w in enumerate(basis):
+        for tw, c in A.coaction_word(w).terms.items():
+            rows.setdefault(tw, {})[j] = c.constant_value()
+        # less w ⊗ 1, w being normal; kernel_basis drops an entry that cancels
+        row = rows.setdefault(A.tensor.join(w, ()), {})
+        row[j] = row.get(j, zero) - one
+    return [AlgElement(A.algebra, {basis[j]: CommPoly.constant(v) for j, v in enumerate(vec)})
+            for vec in kernel_basis(list(rows.values()), len(basis), order)]
 
 
 TAFT_SPECS = [taft_object_spec(n, a=a, c=c) for n in range(2, 7) for a in (1, 2) for c in (0, 1)]
@@ -81,14 +97,14 @@ COINVARIANT_SPECS += [parse_object_spec(s) for s in (
 @pytest.mark.parametrize("spec", COINVARIANT_SPECS, ids=str)
 def test_coinvariants_agree_with_elimination(spec):
     A = galois_object(spec)
-    assert coinvariants(A) == _coinvariants_by_elimination(A) == [A.algebra.one()]
+    assert coinvariants(A) == coinvariants_by_elimination(A) == [A.algebra.one()]
 
 
 def test_coinvariants_of_a_galois_object_need_no_elimination(monkeypatch):
-    def refuse(A):
+    def refuse(rows):
         raise AssertionError("eliminated although beta is proved bijective")
 
-    monkeypatch.setattr(comodule, "_coinvariants_by_elimination", refuse)
+    monkeypatch.setattr(linalg, "row_reduce", refuse)
     for spec in COINVARIANT_SPECS:
         A = galois_object(spec)
         assert coinvariants(A) == [A.algebra.one()]

@@ -407,25 +407,27 @@ def test_standard_polynomial():
         standard_polynomial(0)
 
 
-def test_verify_matrix_identity():
+def test_verify_matrix_identity(monkeypatch):
     assert verify_matrix_identity(4, 2)
     assert not verify_matrix_identity(2, 2)
     assert not verify_matrix_identity(3, 2)
     # 1 x 1 matrices commute, so S_2 already vanishes
     assert verify_matrix_identity(2, 1)
-    with pytest.raises(ValueError):
-        verify_matrix_identity(10, 4, budget=1000)
+    monkeypatch.setattr(identities, "MATRIX_BUDGET", 1000)
+    with pytest.raises(ValueError, match="over the budget 1000$"):
+        verify_matrix_identity(10, 4)
 
 
-def test_matrix_identity_witness():
+def test_matrix_identity_witness(monkeypatch):
     assert matrix_identity_witness(4, 2) is None
     # s_2 is the commutator: e11 e12 - e12 e11 = e12
     assert matrix_identity_witness(2, 2) == (((0, 0), (0, 1)), {(0, 1): 1})
     assign, value = matrix_identity_witness(3, 2)
     assert assign == ((0, 0), (0, 1), (1, 0))
     assert value == {(0, 0): 2, (1, 1): 1}
-    with pytest.raises(ValueError):
-        matrix_identity_witness(10, 4, budget=1000)
+    monkeypatch.setattr(identities, "MATRIX_BUDGET", 1000)
+    with pytest.raises(ValueError, match="over the budget 1000$"):
+        matrix_identity_witness(10, 4)
 
 
 def test_matrix_identity_witness_refuses_a_huge_m_at_once():

@@ -5,11 +5,15 @@ the reduced row echelon form in column order is unique, so both must give
 the same rank, pivots, reduced rows and kernel vectors.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hopfid
 from hopfid.cyclotomic import CyclotomicNumber, field_degree
 from hopfid.linalg import kernel_basis, rank, row_reduce, sparse_row
 
@@ -158,3 +162,13 @@ def test_empty_and_zero_input():
     assert rank([[zero, zero], [zero, zero]]) == 0
     assert rank([{}, {0: zero}]) == 0
     assert kernel_basis([{1: zero}], 2, 3) == dense_kernel_basis([[zero, zero]], 2, 3)
+
+
+def test_the_package_import_binds_linalg():
+    # a fresh interpreter: in this one the imports above already bind hopfid.linalg
+    src = os.path.dirname(os.path.dirname(hopfid.__file__))
+    code = ("import hopfid; one = hopfid.CyclotomicNumber.one(3); "
+            "print(hopfid.linalg.rank([[one, one], [one, one]]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
