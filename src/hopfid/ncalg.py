@@ -6,9 +6,16 @@ tuples of generator indices; the term order is degree-then-lexicographic in
 the generator order, and every rule must strictly decrease it, which makes
 reduction terminate.  Confluence is *checked*, not completed: the rule sets
 shipped here are supplied in already-confluent form and check_confluence
-verifies all overlap ambiguities by double reduction.  A tensor product has
-no rules of its own and reduces factor by factor; only split_word and join
-know how its words lay out the factors' words.
+verifies all overlap ambiguities by double reduction.
+
+A word is reduced by generator actions, right to left: act(g, v) is the
+normal form of g·v for a generator g and a normal word v.  Every factor of
+a normal word is normal (Bergman's diamond lemma), so a redex of g·v can
+only start at position 0, and act is g·v itself or one rule applied there,
+after which each right-hand word's letters act on the normal rest.  act is
+memoised per algebra, with at most #generators × dim entries.  A tensor
+product has no rules of its own and reduces factor by factor; only
+split_word and join know how its words lay out the factors' words.
 """
 
 from __future__ import annotations
@@ -41,13 +48,16 @@ def deglex_key(word):
 
 
 class RewriteRule:
-    """An oriented rule lhs -> sum of coeff*word, decreasing in deglex order."""
+    """An oriented rule lhs -> sum of coeff*word, decreasing in deglex order.
+
+    Words with a zero coefficient are dropped, so that reduction never
+    makes a zero term."""
 
     __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs, rhs):
         self.lhs = tuple(lhs)
-        self.rhs = tuple((tuple(w), c) for w, c in rhs)
+        self.rhs = tuple((tuple(w), c) for w, c in rhs if not c.is_zero())
         if not self.lhs:
             raise ValueError("rule left side must be a nonempty word")
         for w, _ in self.rhs:
@@ -78,6 +88,8 @@ class PresentedAlgebra:
         for r in self.rules:
             self._rules_by_first.setdefault(r.lhs[0], []).append(r)
         self._nf_cache = {}
+        self._acts = [{} for _ in self.generators] if self.rules else ()  # see _act
+        self._lhs_len = max((len(r.lhs) for r in self.rules), default=0)
         self._basis_cache = None
         self._one_poly = CommPoly.one(order)
 
@@ -146,12 +158,14 @@ class PresentedAlgebra:
     def normal_form_word(self, word) -> AlgElement:
         """The normal form of a single word, with coefficient one.
 
-        A tensor product reduces each factor's subword in that factor and
-        joins the results (its normal words, by Bergman's diamond lemma).
-        Only an algebra with rules caches its normal forms: a tensor word is
-        mostly the one-off join of two product terms, and its factors'
-        normal forms are cached in the factors; a free algebra's word is
-        its own normal form."""
+        With rules, the word's letters act, last first, on the empty word
+        (act(g, v) is the normal form of g·v for a normal word v; see _act,
+        whose table holds at most #generators × dim entries), and the result
+        is cached per word.  A tensor product reduces each factor's subword
+        in that factor and joins the results (its normal words, by Bergman's
+        diamond lemma); it caches nothing, since a tensor word is mostly the
+        one-off join of two product terms and its factors' normal forms are
+        cached in the factors.  A free algebra's word is its own normal form."""
         word = tuple(word)
         one = self._one_poly
         if self.tensor_factors is not None:  # no rules: nothing is left to rewrite
@@ -166,32 +180,55 @@ class PresentedAlgebra:
         if not self.rules:  # a free algebra: every word is normal
             return _raw(self, {word: one})
         hit = self._nf_cache.get(word)
-        if hit is not None:
-            return hit
-        acc = {}
-        stack = [(word, one)]
-        while stack:
-            w, c = stack.pop()
-            if w != word:
-                cached = self._nf_cache.get(w)
-                if cached is not None:
-                    for nw, nc in cached.terms.items():
-                        prod = nc * c
-                        s = acc.get(nw)
-                        acc[nw] = prod if s is None else s + prod
+        if hit is None:
+            hit = self._nf_cache[word] = _raw(self, self._fold(word, {(): one}))
+        return hit
+
+    def _fold(self, word, terms):
+        """Let the letters of word act, last first, on terms (normal word -> coefficient).
+
+        A single term with coefficient one becomes the table's own dict, so a
+        normal word folds without a copy; no caller changes the result.
+        """
+        one, act = self._one_poly, self._act
+        for g in reversed(word):
+            if len(terms) == 1:
+                ((v, c),) = terms.items()
+                if c is one:
+                    terms = act(g, v)
                     continue
-            red = self.find_redex(w)
+            acc = {}
+            for v, c in terms.items():
+                _add_scaled(acc, act(g, v), c, one)
+            terms = acc
+        return terms
+
+    def _act(self, g, v):
+        """The normal form of g·v, for a normal word v, as a terms dict.
+
+        A redex of g·v can only start at position 0, since v is normal and
+        so holds none; find_redex looks for it in the first max|lhs|
+        letters.  If there is none, g·v is normal and its coefficient is
+        _one_poly itself.  Otherwise the rule is applied there, and each
+        right-hand word acts on the rest of v, a suffix of a normal word and
+        so normal.  The results are kept in _acts[g][v]: at most
+        #generators × dim entries.
+        """
+        table = self._acts[g]
+        hit = table.get(v)
+        if hit is None:
+            word = (g,) + v
+            red = self.find_redex(word[: self._lhs_len])
             if red is None:
-                s = acc.get(w)
-                acc[w] = c if s is None else s + c
+                hit = {word: self._one_poly}
             else:
-                pos, rule = red
-                tail = pos + len(rule.lhs)
+                rule = red[1]
+                rest = {v[len(rule.lhs) - 1 :]: self._one_poly}
+                hit = {}
                 for rw, rc in rule.rhs:
-                    stack.append((w[:pos] + rw + w[tail:], rc * c))
-        result = AlgElement(self, acc)
-        self._nf_cache[word] = result
-        return result
+                    _add_scaled(hit, self._fold(rw, rest), rc, self._one_poly)
+            table[v] = hit
+        return hit
 
     # -- basis enumeration ---------------------------------------------------
 
@@ -265,6 +302,19 @@ class PresentedAlgebra:
         return f"PresentedAlgebra({self.name})"
 
 
+def _add_scaled(acc, terms, c, one):
+    """acc += c * terms, over dicts of normal words; a coefficient _one_poly is skipped."""
+    for w, tc in terms.items():
+        prod = c if tc is one else tc if c is one else tc * c
+        s = acc.get(w)
+        if s is None:
+            acc[w] = prod
+        elif (s := s + prod).terms:
+            acc[w] = s
+        else:  # only a sum can cancel
+            del acc[w]
+
+
 def _raw(algebra, terms):
     """The AlgElement on terms as given: the caller ensures no coefficient is zero."""
     e = object.__new__(AlgElement)
@@ -298,14 +348,8 @@ class AlgElement:
         if isinstance(other, AlgElement):
             self._check(other)
             out = dict(self.terms)
-            for w, c in other.terms.items():
-                s = out.get(w)
-                if s is None:
-                    out[w] = c
-                elif (s := s + c).terms:
-                    out[w] = s
-                else:  # only a sum can cancel
-                    del out[w]
+            one = self.algebra._one_poly
+            _add_scaled(out, other.terms, one, one)
             return _raw(self.algebra, out)
         try:
             poly = self.algebra.coerce_poly(other)
@@ -342,15 +386,7 @@ class AlgElement:
                     # terms are nonzero, and so is their product: coefficients form a domain
                     c = c2 if c1 is one else c1 if c2 is one else c1 * c2
                     # a normal word is its own normal form, with the coefficient _one_poly itself
-                    for nw, nc in alg.normal_form_word(w1 + w2).terms.items():
-                        prod = c if nc is one else nc * c
-                        s = acc.get(nw)
-                        if s is None:
-                            acc[nw] = prod
-                        elif (s := s + prod).terms:
-                            acc[nw] = s
-                        else:  # only a sum can cancel
-                            del acc[nw]
+                    _add_scaled(acc, alg.normal_form_word(w1 + w2).terms, c, one)
             return _raw(alg, acc)
         try:
             poly = alg.coerce_poly(other)
