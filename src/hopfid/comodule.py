@@ -203,6 +203,8 @@ class ComoduleAlgebra:
         if isinstance(value, Symbolic):
             var = param_var(key, value.prime)
             return CommPoly.variable(self.hopf.algebra.order, var)
+        if value.is_one():  # the shared one, so products can skip it by identity
+            return CommPoly.one(value.order)
         return CommPoly.constant(value)
 
     def coaction_word(self, word) -> AlgElement:

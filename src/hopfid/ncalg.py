@@ -14,8 +14,10 @@ a normal word is normal (Bergman's diamond lemma), so a redex of g·v can
 only start at position 0, and act is g·v itself or one rule applied there,
 after which each right-hand word's letters act on the normal rest.  act is
 memoised per algebra, with at most #generators × dim entries.  A tensor
-product has no rules of its own and reduces factor by factor; only
-split_word and join know how its words lay out the factors' words.
+product has no rules of its own and reduces factor by factor.  Its words
+lay out the factors' words block by block (split_word and join); a product
+of two of its normal words is formed factor by factor too (mul_words), from
+a split table of the normal words, with at most Π dim(factor) entries.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ class PresentedAlgebra:
             sizes = [len(f.generators) for f in tensor_factors]
             self.factor_offsets = tuple(itertools.accumulate([0] + sizes[:-1]))
             self._letters = [(k, g) for k, n in enumerate(sizes) for g in range(n)]
+            self._splits = {}  # normal word -> its factor parts; see mul_words
         self._gen_index = {g: i for i, g in enumerate(self.generators)}
         if len(self._gen_index) != len(self.generators):
             raise ValueError("generator names must be distinct")
@@ -131,23 +134,26 @@ class PresentedAlgebra:
             if poly.is_zero():
                 continue
             w = tuple(self.gen_index(g) if isinstance(g, str) else g for g in w)
-            for nw, nc in self.normal_form_word(w).terms.items():
-                prod = nc * poly
-                s = acc.get(nw)
-                acc[nw] = prod if s is None else s + prod
-        return AlgElement(self, acc)
+            _add_scaled(acc, self.normal_form_word(w).terms, poly, self._one_poly)
+        return _raw(self, acc)
 
     # -- rewriting -----------------------------------------------------------
 
     def find_redex(self, word):
+        """The leftmost redex of word as (position, rule), or None.
+
+        A left side longer than what is left of word from a position is
+        skipped before any slice, so a scan costs O(len(word)) letter
+        lookups, not a slice of every long left side at every position."""
         limit = len(word)
         for pos in range(limit):
             cands = self._rules_by_first.get(word[pos])
             if not cands:
                 continue
+            room = limit - pos
             for rule in cands:
                 L = rule.lhs
-                if word[pos : pos + len(L)] == L:
+                if len(L) <= room and word[pos : pos + len(L)] == L:
                     return pos, rule
         return None
 
@@ -161,28 +167,67 @@ class PresentedAlgebra:
         With rules, the word's letters act, last first, on the empty word
         (act(g, v) is the normal form of g·v for a normal word v; see _act,
         whose table holds at most #generators × dim entries), and the result
-        is cached per word.  A tensor product reduces each factor's subword
-        in that factor and joins the results (its normal words, by Bergman's
-        diamond lemma); it caches nothing, since a tensor word is mostly the
-        one-off join of two product terms and its factors' normal forms are
-        cached in the factors.  A free algebra's word is its own normal form."""
+        is cached per word.  A tensor product returns a word of its split
+        table (see mul_words) as itself, since the table holds normal words
+        only; any other word, which may interleave the factors' letters, is
+        split and reduced factor by factor (see _reduce_parts) through the
+        factors' cached normal forms, and is not kept, since a word asked
+        for here is mostly a one-off.  A free algebra's word is its own
+        normal form."""
         word = tuple(word)
         one = self._one_poly
         if self.tensor_factors is not None:  # no rules: nothing is left to rewrite
-            terms = [((), one)]  # (the reduced subwords so far, their coefficient)
-            for factor, part in zip(self.tensor_factors, self.split_word(word)):
-                nf = factor.normal_form_word(part).terms.items()
-                # only a normal part is in its normal form, as itself; products by one are skipped
-                terms = [(done + (w,), c if w == part else fc if c is one else c * fc)
-                         for done, c in terms for w, fc in nf]
-            # distinct factor words join to distinct words, and coefficients are nonzero
-            return _raw(self, {self.join(*done): c for done, c in terms})
+            if word in self._splits:  # a normal word
+                return _raw(self, {word: one})
+            return _raw(self, self._reduce_parts(self.split_word(word)))
         if not self.rules:  # a free algebra: every word is normal
             return _raw(self, {word: one})
         hit = self._nf_cache.get(word)
         if hit is None:
             hit = self._nf_cache[word] = _raw(self, self._fold(word, {(): one}))
         return hit
+
+    def mul_words(self, w1, w2):
+        """The normal form of w1·w2, for normal words w1 and w2, as a terms dict.
+
+        No caller may change the dict.  In a tensor product each operand's
+        factor parts come from the split table _splits, which holds normal
+        words of the product only, so at most Π dim(factor) entries, and
+        never the one-off concatenation w1 + w2: the generator images a
+        Morphism multiplies by recur in every product.  Each factor then
+        reduces its two parts' concatenation through its own cached normal
+        forms.
+        """
+        if self.tensor_factors is None:
+            return self.normal_form_word(w1 + w2).terms
+        splits = self._splits
+        p1 = splits.get(w1)
+        if p1 is None:
+            p1 = splits[w1] = self.split_word(w1)
+        p2 = splits.get(w2)
+        if p2 is None:
+            p2 = splits[w2] = self.split_word(w2)
+        return self._reduce_parts(map(tuple.__add__, p1, p2))
+
+    def _reduce_parts(self, parts):
+        """The normal form of the tensor word with these factor parts, as a terms dict.
+
+        Each part is reduced in its factor and the results are joined: the
+        joins of normal factor words are the product's normal words
+        (Bergman's diamond lemma).  Distinct factor words join to distinct
+        words, and coefficients are nonzero, so nothing is summed.
+        """
+        one = self._one_poly
+        out = {}
+        for combo in itertools.product(*[factor.normal_form_word(part).terms.items()
+                                         for factor, part in zip(self.tensor_factors, parts)]):
+            word, c = (), one
+            for (w, fc), off in zip(combo, self.factor_offsets):
+                word += tuple([g + off for g in w]) if off else w  # into the factor's block
+                if fc is not one:
+                    c = fc if c is one else c * fc
+            out[word] = c
+        return out
 
     def _fold(self, word, terms):
         """Let the letters of word act, last first, on terms (normal word -> coefficient).
@@ -379,14 +424,14 @@ class AlgElement:
         alg = self.algebra
         if isinstance(other, AlgElement):
             self._check(other)
-            one = alg._one_poly
+            one, mul_words = alg._one_poly, alg.mul_words
             acc = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
                     # terms are nonzero, and so is their product: coefficients form a domain
                     c = c2 if c1 is one else c1 if c2 is one else c1 * c2
                     # a normal word is its own normal form, with the coefficient _one_poly itself
-                    _add_scaled(acc, alg.normal_form_word(w1 + w2).terms, c, one)
+                    _add_scaled(acc, mul_words(w1, w2), c, one)
             return _raw(alg, acc)
         try:
             poly = alg.coerce_poly(other)
@@ -394,6 +439,8 @@ class AlgElement:
             return NotImplemented
         if not poly.terms:
             return alg.zero()
+        if poly is alg._one_poly:  # elements are values: no caller changes their terms
+            return self
         return _raw(alg, {w: c * poly for w, c in self.terms.items()})
 
     def __rmul__(self, other):

@@ -9,13 +9,15 @@ normal forms, the same basis and the same word layout.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
 from hopfid import ncalg
 from hopfid.commpoly import CommPoly
-from hopfid.comodule import en_object_spec, galois_object, taft_object_spec
+from hopfid.comodule import (check_comodule, coinvariants, en_object_spec, galois_map_bijective,
+                             galois_object, taft_object_spec)
 from hopfid.hopf import en, taft
 from hopfid.identities import free_algebra
 from hopfid.ncalg import PresentedAlgebra, RewriteRule, tensor_product
@@ -109,6 +111,41 @@ def test_factorwise_normal_forms_match_the_rewriting_oracle(label, factors):
     o_left = oracle.element({w: k + 1 for k, w in enumerate(words[:2])})
     o_right = oracle.element({w: 1 - k for k, w in enumerate(words[2:])})
     assert (left * right).terms == (o_left * o_right).terms
+    # operand words that are products' normal words, as the split table holds them
+    chained = [((left * right) * left, (o_left * o_right) * o_left),
+               (right * (left * right), o_right * (o_left * o_right)),
+               ((left * left) * (right * right), (o_left * o_left) * (o_right * o_right))]
+    for got, want in chained:
+        assert got.terms == want.terms
+
+
+SPECS = [(f"taft:{n} numeric", lambda n=n: taft_object_spec(n, 2, 1)) for n in (2, 3, 4, 5)]
+SPECS += [(f"taft:{n} symbolic", lambda n=n: taft_object_spec(n)) for n in (2, 3, 4, 5)]
+SPECS += [(f"en:{n} numeric", lambda n=n: en_object_spec(
+    n, 3, [1 - i for i in range(n)], {(i, j): i - j for i in range(1, n + 1) for j in range(i + 1, n + 1)}))
+    for n in (1, 2, 3)]
+SPECS += [(f"en:{n} symbolic", lambda n=n: en_object_spec(n)) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("label, spec", SPECS, ids=[s[0] for s in SPECS])
+def test_split_table_holds_only_normal_words(label, spec):
+    A = galois_object(spec())
+    if A.spec.symbolic_keys():
+        with pytest.raises(ValueError, match="needs numeric parameters"):
+            coinvariants(A)
+    else:
+        assert coinvariants(A) == [A.algebra.one()]
+    assert galois_map_bijective(A) is True
+    assert check_comodule(A).ok
+    H = A.hopf.algebra
+    products = (A.tensor, A.hopf.square, tensor_product(A.algebra, H, H))
+    assert A.tensor._splits and A.hopf.square._splits  # the checks multiply in both
+    for T in products:
+        assert len(T._splits) <= math.prod(len(f.basis()) for f in T.tensor_factors)
+        for w, parts in T._splits.items():
+            # normal: one normal word per factor, in block layout (is_normal reads the table)
+            assert w == T.join(*parts) and parts == T.split_word(w), (T.name, w)
+            assert all(f.is_normal(p) for f, p in zip(T.tensor_factors, parts)), (T.name, w)
 
 
 @pytest.mark.parametrize("label, factors", CASES, ids=[c[0] for c in CASES])
