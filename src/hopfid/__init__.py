@@ -11,7 +11,7 @@ from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, primitive_root
 from .commpoly import CommPoly, ParamVar, TVar
 from .ncalg import (
     AlgElement,
-    ConfluenceReport,
+    CheckReport,
     Morphism,
     PresentedAlgebra,
     RewriteRule,
@@ -20,7 +20,6 @@ from .ncalg import (
     tensor_product,
 )
 from .hopf import (
-    CheckReport,
     HopfPresentation,
     antipode,
     check_hopf_axioms,
@@ -82,7 +81,6 @@ __all__ = [
     "CheckReport",
     "CommPoly",
     "ComoduleAlgebra",
-    "ConfluenceReport",
     "CyclotomicNumber",
     "Distinguished",
     "FreeComodulePoly",

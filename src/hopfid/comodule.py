@@ -10,7 +10,8 @@ hopf.family_relations at the spec's parameters (param_var names the
 parameter of each spec key), and the coaction is the Morphism of
 hopf.coaction_images, the coproduct's formulas; H itself is the object at
 a = 1, c = d = 0.  The section u maps each Hopf basis word to the same word
-of the object, which is normal there too.
+of the object, which is normal there too; check_comodule proves u colinear,
+and the coaction laws, on generators and left sides alone.
 
 galois_map_bijective proves that the Galois map beta(a tensor b) =
 (a tensor 1) delta(b) is bijective from beta(a kappa(g)) = a (1 tensor g) on
@@ -240,6 +241,13 @@ def coinvariants(A: ComoduleAlgebra):
     return [A.algebra.one()]
 
 
+def _family_left_sides(A: ComoduleAlgebra) -> bool:
+    """Whether A's rules have H's left sides, as family_relations gives every
+    object, so that a word is normal in A exactly when it is normal in H: the
+    premise of the Galois proof and of the section proof."""
+    return [r.lhs for r in A.algebra.rules] == [r.lhs for r in A.hopf.algebra.rules]
+
+
 def galois_map_bijective(A: ComoduleAlgebra) -> bool:
     """True: beta(a tensor b) = (a tensor 1) delta(b) is bijective, proved on
     the generators of H for every value of the symbolic parameters.
@@ -258,13 +266,12 @@ def galois_map_bijective(A: ComoduleAlgebra) -> bool:
     the image of beta form a subalgebra of H.  It holds 1 and the
     generators, so it is H.  beta is left A-linear, so a tensor h =
     beta((a tensor 1)z) is in the image too: beta is onto, and with dim A =
-    dim H it is bijective.  Its premise, checked first in O(#rules), is that
-    A's rules have H's left sides, as family_relations gives every object:
-    normal words depend on the left sides alone, and by confluence (the
-    diamond lemma; selfcheck's "object confluence" row) they are a basis of
-    each, so dim A = dim H.  Other left sides, a coaction that breaks A's
-    relations, or a g with beta(a kappa(g)) != a (1 tensor g) prove nothing
-    either way: the result is True or a ValueError that says which.
+    dim H it is bijective.  Its premise, _family_left_sides, is checked
+    first: by confluence (the diamond lemma; selfcheck's "object confluence"
+    row) the normal words are a basis of each, so dim A = dim H.  Other left
+    sides, a coaction that breaks A's relations, or a g with beta(a kappa(g))
+    != a (1 tensor g) prove nothing either way: the result is True or a
+    ValueError that says which.
 
     Every parameter may be symbolic, and True is a proof for every a != 0, c
     and d at once, for the fully generic object too.  The rules' left sides
@@ -275,44 +282,70 @@ def galois_map_bijective(A: ComoduleAlgebra) -> bool:
     = 1 tensor g fails.  No dim^2-column matrix is built and no basis word of
     A or H is visited.
     """
-    alg, H, T = A.algebra, A.hopf, A.tensor
-    if [r.lhs for r in alg.rules] != [r.lhs for r in H.algebra.rules]:
+    H, T = A.hopf, A.tensor
+    if not _family_left_sides(A):
         raise ValueError(f"the Galois map test needs the rules' left sides of {H.name}")
     broken = relation_failures("coaction", A.coaction_map)
     if broken:
         raise ValueError(f"the Galois map test needs an algebra map: {'; '.join(broken)}")
-    a = A.param_poly("a")
-    beta_a_kappa_x = T.element({T.join((0,) * (alg.order - 1), ()): 1}) * A.coaction_word((0,))
+    a, one = A.param_poly("a"), CommPoly.one(T.order)
+
+    def pure(left, right, c=one):  # left tensor right, normal words: nothing to reduce
+        return AlgElement(T, {T.join(left, right): c})
+
+    beta_a_kappa_x = pure((0,) * (T.order - 1), ()) * A.coaction_word((0,))
     for g, name in enumerate(H.algebra.generators):
         image = beta_a_kappa_x
         if g:
-            image = A.coaction_word((g,)) * a - T.element({T.join((g,), ()): 1}) * beta_a_kappa_x
-        if image != T.element({T.join((), (g,)): a}):
+            image = A.coaction_word((g,)) * a - pure((g,), ()) * beta_a_kappa_x
+        if image != pure((), (g,), a):
             raise ValueError(f"the Galois map test needs the family coaction: "
                              f"beta(kappa({name})) is not 1⊗{name}")
     return True
 
 
 def check_comodule(A: ComoduleAlgebra) -> CheckReport:
-    """Structural checks: the coaction is a well defined coassociative,
-    counital algebra map and the section intertwines it with the coproduct.
+    """Structural checks, proved on generators: the coaction is a well
+    defined coassociative, counital algebra map, and the section u, the
+    identity on normal words, intertwines it with the coproduct.
 
     The coaction is checked against the object's relations, so with
-    check_coaction_laws a passing report is a proof.  The section u is not
-    multiplicative, so delta(u(h)) = (u x id)Delta(h) is checked on every
-    basis word h.  Works symbolically, so it also validates fully generic
-    objects.
+    check_coaction_laws a passing report is a proof.  u is not
+    multiplicative, yet delta(u(h)) = (u x id)Delta(h) holds on every normal
+    h = g1..gk once
+    - on each generator g, delta(g) = (u x id)Delta(g) and every first
+      factor is 1 or g; g is deletable if one is 1, as on each yi;
+    - A's rules have H's left sides (_family_left_sides);
+    - L1 d L2 is reducible for each left side L = L1 L2, halves nonempty,
+      and each deletable d.  Then deleting d from a normal u d v leaves u v
+      normal: a left side of u v would be some L1 L2 across the junction,
+      and L1 d L2 a factor of u d v.
+    For then delta(g1)..delta(gk) and Delta(g1)..Delta(gk) expand to the
+    same terms, whose first factors, h less some deletable letters, are
+    normal in A and in H, so no rule fires in them.  A failed premise is a
+    failure, as nothing is proved.  No basis word of H is visited, and every
+    parameter may be symbolic.
     """
-    H = A.hopf
+    H, T, alg = A.hopf, A.tensor, A.hopf.algebra
     failures = relation_failures("coaction", A.coaction_map)
-    failures += check_coaction_laws(
-        H, A.tensor, A.coaction_word, "coaction coassociativity", "coaction counit law"
-    )
-    # u is the identity on words, so (u x id)Delta(h) has the subwords of Delta(h)
-    for h in H.basis():
-        terms = H.coproduct_word(h).terms.items()
-        u_id = {A.tensor.join(*H.square.split_word(w)): c for w, c in terms}
-        if A.coaction_word(h) != AlgElement(A.tensor, u_id):
-            name = H.algebra.render_word(h)
+    failures += check_coaction_laws(H, T, A.coaction_word, "coaction coassociativity",
+                                    "coaction counit law")
+    if not _family_left_sides(A):
+        failures.append(f"the section check needs the rules' left sides of {H.name}")
+    deletable = []
+    for g, name in enumerate(alg.generators):
+        parts = [(H.square.split_word(w), c) for w, c in H.coproduct_word((g,)).terms.items()]
+        if A.coaction_word((g,)) != AlgElement(T, {T.join(*p): c for p, c in parts}):
             failures.append(f"section does not intertwine the coactions on {name}")
-    return CheckReport(A.name, tuple(failures), "comodule algebra checks pass", "comodule")
+        firsts = {p[0] for p, _ in parts}
+        if not firsts <= {(), (g,)}:
+            failures.append(f"the section check needs first factors 1 or {name} in Delta({name})")
+        if () in firsts:
+            deletable.append(g)
+    for rule in alg.rules:
+        L = rule.lhs
+        for w in (L[:i] + (d,) + L[i:] for i in range(1, len(L)) for d in deletable):
+            if alg.find_redex(w) is None:
+                failures.append(f"the section check needs {alg.render_word(w)} reducible")
+    return CheckReport(A.name, tuple(failures), "comodule algebra checks pass",
+                       "comodule failures")

@@ -15,13 +15,13 @@ yi -> 1⊗yi + yi⊗x, the coproduct on generators and every object's coaction.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 from .commpoly import CommPoly
 from .cyclotomic import CyclotomicNumber, primitive_root
 from .ncalg import (
     AlgElement,
+    CheckReport,
     Morphism,
     PresentedAlgebra,
     RewriteRule,
@@ -215,25 +215,6 @@ def qbinom(m: int, k: int, q: CyclotomicNumber) -> CyclotomicNumber:
     return qbinom(m - 1, k - 1, q) + q**k * qbinom(m - 1, k, q)
 
 
-class CheckReport(namedtuple("CheckReport", "name failures passed noun")):
-    """The failures of one suite of checks on name.  str is "<name>:
-    <passed>" when there are none, else "<name>: N <noun> failures" and one
-    line per failure."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __str__(self):
-        if self.ok:
-            return f"{self.name}: {self.passed}"
-        lines = [f"{self.name}: {len(self.failures)} {self.noun} failures"]
-        lines.extend(f"  {f}" for f in self.failures)
-        return "\n".join(lines)
-
-
 def relation_failures(name, f: Morphism) -> list:
     """A line "<name> incompatible with relation <lhs>" per rule f breaks."""
     return [f"{name} incompatible with relation {f.source.render_word(rule.lhs)}"
@@ -313,4 +294,5 @@ def check_hopf_axioms(H: HopfPresentation) -> CheckReport:
             failures.append(f"antipode law m(id x S)Delta fails on {name}")
 
     failures += relation_failures("antipode", H.antipode_map)
-    return CheckReport(H.name, tuple(failures), "all Hopf axioms proved on generators", "axiom")
+    return CheckReport(H.name, tuple(failures), "all Hopf axioms proved on generators",
+                       "axiom failures")

@@ -6,7 +6,8 @@ tuples of generator indices; the term order is degree-then-lexicographic in
 the generator order, and every rule must strictly decrease it, which makes
 reduction terminate.  Confluence is *checked*, not completed: the rule sets
 shipped here are supplied in already-confluent form and check_confluence
-verifies all overlap ambiguities by double reduction.
+verifies all overlap ambiguities by double reduction.  Its CheckReport is
+the one report type of every check suite.
 
 A word is reduced by generator actions, right to left: act(g, v) is the
 normal form of g·v for a generator g and a normal word v.  Every factor of
@@ -37,7 +38,7 @@ __all__ = [
     "Morphism",
     "tensor_product",
     "check_confluence",
-    "ConfluenceReport",
+    "CheckReport",
 ]
 
 Word = tuple  # tuple of generator indices
@@ -602,14 +603,15 @@ def embed(elem: AlgElement, product: PresentedAlgebra, factor: int) -> AlgElemen
     return AlgElement(product, {product.join(*before, w, *after): c for w, c in elem.terms.items()})
 
 
-# -- confluence ---------------------------------------------------------------
+# -- check reports and confluence --------------------------------------------
 
 
-ConfluenceFailure = namedtuple("ConfluenceFailure", "word first second difference")
+class CheckReport(namedtuple("CheckReport", "name failures passed noun")):
+    """The failures of one suite of checks on name, each a rendered line.
 
+    str is "<name>: <passed>" when there are none, else "<name>: N <noun>"
+    and one indented line per failure."""
 
-class ConfluenceReport(namedtuple("ConfluenceReport", "algebra failures ambiguities_checked",
-                                  defaults=(0,))):
     __slots__ = ()
 
     @property
@@ -618,25 +620,15 @@ class ConfluenceReport(namedtuple("ConfluenceReport", "algebra failures ambiguit
 
     def __str__(self):
         if self.ok:
-            return (
-                f"{self.algebra}: confluent "
-                f"({self.ambiguities_checked} ambiguities resolve)"
-            )
-        lines = [f"{self.algebra}: {len(self.failures)} unresolved ambiguities"]
-        for f in self.failures:
-            lines.append(
-                f"  word {f.word}: reductions disagree by {f.difference}"
-            )
-        return "\n".join(lines)
+            return f"{self.name}: {self.passed}"
+        return "\n".join([f"{self.name}: {len(self.failures)} {self.noun}"]
+                         + [f"  {f}" for f in self.failures])
 
 
-def _one_step(word, pos, rule):
-    tail = pos + len(rule.lhs)
-    return [(word[:pos] + rw + word[tail:], rc) for rw, rc in rule.rhs]
+def check_confluence(alg: PresentedAlgebra) -> CheckReport:
+    """Resolve every overlap and inclusion ambiguity by double reduction.
 
-
-def check_confluence(alg: PresentedAlgebra) -> ConfluenceReport:
-    """Resolve every overlap and inclusion ambiguity by double reduction."""
+    A failure reads "word <w>: reductions disagree by <difference>"."""
     failures = []
     seen = set()
 
@@ -644,21 +636,11 @@ def check_confluence(alg: PresentedAlgebra) -> ConfluenceReport:
         if (word, apply1, apply2) in seen:
             return
         seen.add((word, apply1, apply2))
-        nf = []
-        for pos, rule in (apply1, apply2):
-            acc = alg.zero()
-            for w, c in _one_step(word, pos, rule):
-                acc = acc + alg.normal_form_word(w) * c
-            nf.append(acc)
+        # one rule applied at pos, then the normal form of each resulting word
+        nf = [sum((alg.normal_form_word(word[:pos] + rw + word[pos + len(rule.lhs):]) * c
+                   for rw, c in rule.rhs), alg.zero()) for pos, rule in (apply1, apply2)]
         if nf[0] != nf[1]:
-            failures.append(
-                ConfluenceFailure(
-                    word,
-                    (apply1[0], apply1[1].lhs),
-                    (apply2[0], apply2[1].lhs),
-                    str(nf[0] - nf[1]),
-                )
-            )
+            failures.append(f"word {word}: reductions disagree by {nf[0] - nf[1]}")
 
     rules = alg.rules
     for r1 in rules:
@@ -677,4 +659,5 @@ def check_confluence(alg: PresentedAlgebra) -> ConfluenceReport:
             # distinct rules with identical left sides
             if r1 is not r2 and l1 == l2:
                 probe(l1, (0, r1), (0, r2))
-    return ConfluenceReport(alg.name, tuple(failures), len(seen))
+    return CheckReport(alg.name, tuple(failures), f"confluent ({len(seen)} ambiguities resolve)",
+                       "unresolved ambiguities")

@@ -15,11 +15,15 @@ from hopfid.comodule import (
     object_spec,
     taft_object_spec,
 )
+from hopfid.commpoly import CommPoly
 from hopfid.cyclotomic import CyclotomicNumber
 from hopfid.exprparse import parse_object_spec
-from hopfid.hopf import coproduct, en, family_hopf, taft
-from hopfid.ncalg import AlgElement, Morphism, PresentedAlgebra, embed
+from hopfid.hopf import (HopfPresentation, check_hopf_axioms, coaction_images, coproduct, en,
+                         family_hopf, taft)
+from hopfid.ncalg import (AlgElement, Morphism, PresentedAlgebra, RewriteRule, embed,
+                          tensor_product)
 from test_galois_oracle import coinvariants_by_elimination, galois_map_by_elimination
+from test_law_oracle import corrupted_hopf
 
 
 def test_taft_spec_construction():
@@ -271,6 +275,64 @@ def test_galois_map_refuses_other_left_sides():
     A.algebra.rules = A.algebra.rules[:-1]
     with pytest.raises(ValueError, match="needs the rules' left sides of taft:2$"):
         galois_map_bijective(A)
+
+
+def test_check_comodule_fails_on_other_left_sides():
+    # without y^2 -> c no law and no generator fails, but the section proof
+    # rests on H's left sides: a failed premise is a failure, not a pass
+    A = ComoduleAlgebra(taft_object_spec(2, a=1, c=0))
+    A.algebra.rules = A.algebra.rules[:-1]
+    rep = check_comodule(A)
+    assert rep.failures == ("the section check needs the rules' left sides of taft:2",)
+    assert str(rep) == ("A(taft:2;a=1;c=0): 1 comodule failures\n"
+                        "  the section check needs the rules' left sides of taft:2")
+
+
+def _hopf_as_object(H):
+    """H coacting on itself by its coproduct, shaped like a ComoduleAlgebra."""
+    A = object.__new__(ComoduleAlgebra)
+    A.hopf, A.algebra, A.tensor, A.name = H, H.algebra, H.square, f"A({H.name})"
+    A.coaction_map = H.coproduct_map
+    return A
+
+
+def test_check_comodule_fails_where_deleting_a_letter_is_unproved():
+    # with x^2 = 1 the only rule, deleting y from the normal word x*y*x leaves
+    # x^2, so the section is not proved, though it holds on this object
+    one, zero = CyclotomicNumber.one(2), CyclotomicNumber.zero(2)
+    alg = PresentedAlgebra("x^2=1", ("x", "y"), 2, (RewriteRule((0, 0), [((), CommPoly.one(2))]),))
+    H = HopfPresentation(alg.name, "free", 0, alg, coaction_images(tensor_product(alg, alg)),
+                         (one, zero), (alg.gen("x"), -alg.element({(1, 0): 1})), -one)
+    assert check_hopf_axioms(H).ok
+    assert check_comodule(_hopf_as_object(H)).failures == (
+        "the section check needs x*y*x reducible",)
+
+
+def test_check_comodule_fails_on_other_first_factors():
+    # Delta(y) = y (x) 1 + x (x) y and S(y) = -xy make taft:2 a Hopf algebra
+    # too, but the first factor x of y's image is neither 1 nor y: nothing is
+    # proved, though the section holds on this object
+    H = corrupted_hopf(taft(2), coproduct={1: {(1,): 1, (0, 3): 1}}, antipode={1: {(0, 1): -1}})
+    assert check_hopf_axioms(H).ok
+    assert check_comodule(_hopf_as_object(H)).failures == (
+        "the section check needs first factors 1 or y in Delta(y)",)
+
+
+@pytest.mark.parametrize("spec", [
+    object_spec("taft", 9),
+    taft_object_spec(9, a=2, c=1),
+    object_spec("en", 8),
+    en_object_spec(8, a=3, c=[i % 2 for i in range(8)],
+                   d={(i, j): (i + j) % 3 - 1 for i in range(1, 9) for j in range(i + 1, 9)}),
+], ids=["taft:9", "taft:9-numeric", "en:8", "en:8-numeric"])
+def test_check_comodule_visits_no_basis_word(spec, monkeypatch):
+    A = galois_object(spec)  # the section loop walks H's basis
+
+    def refuse(self):
+        raise AssertionError(f"basis of {self.name} enumerated")
+
+    monkeypatch.setattr(PresentedAlgebra, "basis", refuse)
+    assert check_comodule(A).ok, A.name
 
 
 def test_galois_map_proved_with_a_symbolic():

@@ -196,6 +196,12 @@ COACTION_CORRUPTIONS = {
     "coaction_untwisted": ({(3,): 1}, None),
     # delta(y) = y (x) 1 + 1 (x) y squares to 2 y (x) y, not to c = 0
     "coaction_primitive": ({(1,): 1, (3,): 1}, "coaction"),
+    # delta(y) = 1 (x) y + 2 y (x) x: relations hold, the laws and the section
+    # fail on y, and the walk finds more failing words than the generators
+    "coaction_doubled": ({(3,): 1, (1, 2): 2}, None),
+    # delta(y) = y (x) 1, y coinvariant: a comodule algebra, but the section
+    # fails on y, and only the section check can say so
+    "coaction_trivial_on_y": ({(1,): 1}, None),
 }
 
 

@@ -112,7 +112,7 @@ def test_a_system_that_is_not_confluent_is_still_reported():
     bad = PresentedAlgebra("bad", ("a", "b"), 1, (RewriteRule((0, 0), [((1,), one)]),))
     rep = check_confluence(bad)
     assert not rep.ok
-    assert any(f.word == (0, 0, 0) for f in rep.failures)
+    assert any(f.startswith("word (0, 0, 0): ") for f in rep.failures)
     assert set(bad.normal_form_word((0, 0, 0)).terms) == {(0, 1)}
     assert set(rewrite_normal_form(bad, (0, 0, 0), {})) == {(1, 0)}
 
