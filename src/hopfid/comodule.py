@@ -21,8 +21,10 @@ so no basis word is visited and nothing is eliminated.  Multiplied by a,
 kappa needs no a^-1, so every parameter may stay symbolic and True is a
 proof for every a != 0, c and d at once; a ValueError refuses other left
 sides and a coaction that breaks A's relations or is not the family's on
-generators.  coinvariants reads A^coH = k off that proof, and raises its
-ValueError; it needs every parameter numeric.
+generators.  The proof is kept per coaction map and rule tuple: a second
+call on the same object returns True at once, and one whose coaction map or
+rules were swapped is proved again.  coinvariants reads A^coH = k off that
+proof, and raises its ValueError; it needs every parameter numeric.
 """
 
 from __future__ import annotations
@@ -175,6 +177,8 @@ def param_var(key, prime=0) -> ParamVar:
 class ComoduleAlgebra:
     """A right comodule algebra A with coaction valued in A tensor H."""
 
+    _proved = None  # the (coaction_map, algebra.rules) that galois_map_bijective proved
+
     def __init__(self, spec: GaloisObjectSpec):
         self.spec = spec
         self.hopf = H = spec.hopf()
@@ -281,7 +285,14 @@ def galois_map_bijective(A: ComoduleAlgebra) -> bool:
     parameter ring is a domain, so the check fails exactly where beta(kappa(g))
     = 1 tensor g fails.  No dim^2-column matrix is built and no basis word of
     A or H is visited.
+
+    True is kept on A with the coaction map and rules tuple it proved, and
+    returned at once while A has those very objects; a ValueError is not.
     """
+    kept = A._proved
+    if kept is not None and kept[0] is A.coaction_map and kept[1] is A.algebra.rules:
+        return True
+    proving = (A.coaction_map, A.algebra.rules)
     H, T = A.hopf, A.tensor
     if not _family_left_sides(A):
         raise ValueError(f"the Galois map test needs the rules' left sides of {H.name}")
@@ -301,6 +312,7 @@ def galois_map_bijective(A: ComoduleAlgebra) -> bool:
         if image != pure((), (g,), a):
             raise ValueError(f"the Galois map test needs the family coaction: "
                              f"beta(kappa({name})) is not 1⊗{name}")
+    A._proved = proving
     return True
 
 

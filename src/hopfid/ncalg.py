@@ -12,13 +12,15 @@ the one report type of every check suite.
 A word is reduced by generator actions, right to left: act(g, v) is the
 normal form of g·v for a generator g and a normal word v.  Every factor of
 a normal word is normal (Bergman's diamond lemma), so a redex of g·v can
-only start at position 0, and act is g·v itself or one rule applied there,
-after which each right-hand word's letters act on the normal rest.  act is
-memoised per algebra, with at most #generators × dim entries.  A tensor
-product has no rules of its own and reduces factor by factor.  Its words
-lay out the factors' words block by block (split_word and join); a product
-of two of its normal words is formed factor by factor too (mul_words), from
-a split table of the normal words, with at most Π dim(factor) entries.
+only start at position 0: act is g·v itself or one rule starting with g
+applied there (find_redex is left to the checks), after which each
+right-hand word's letters act on the normal rest.  act is memoised per
+algebra, with at most #generators × dim entries.  A tensor product has no
+rules of its own and reduces factor by factor, joining the factors' normal
+forms in one fold over the blocks.  Its words lay out the factors' words
+block by block (split_word and join); a product of two of its normal words
+is formed factor by factor too (mul_words), from a split table of the
+normal words, with at most Π dim(factor) entries.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ class PresentedAlgebra:
             self._rules_by_first.setdefault(r.lhs[0], []).append(r)
         self._nf_cache = {}
         self._acts = [{} for _ in self.generators] if self.rules else ()  # see _act
-        self._lhs_len = max((len(r.lhs) for r in self.rules), default=0)
         self._basis_cache = None
         self._one_poly = CommPoly.one(order)
 
@@ -215,19 +216,21 @@ class PresentedAlgebra:
 
         Each part is reduced in its factor and the results are joined: the
         joins of normal factor words are the product's normal words
-        (Bergman's diamond lemma).  Distinct factor words join to distinct
-        words, and coefficients are nonzero, so nothing is summed.
+        (Bergman's diamond lemma).  One fold over the blocks: the first
+        factor's normal form is taken as it is (its block starts at 0), and
+        each further factor's normal words are shifted into their block once
+        and appended to every partial word.  Distinct factor words join to
+        distinct words, and coefficients are nonzero, so nothing is summed.
         """
         one = self._one_poly
-        out = {}
-        for combo in itertools.product(*[factor.normal_form_word(part).terms.items()
-                                         for factor, part in zip(self.tensor_factors, parts)]):
-            word, c = (), one
-            for (w, fc), off in zip(combo, self.factor_offsets):
-                word += tuple([g + off for g in w]) if off else w  # into the factor's block
-                if fc is not one:
-                    c = fc if c is one else c * fc
-            out[word] = c
+        blocks = zip(self.tensor_factors, parts, self.factor_offsets)
+        factor, part, _ = next(blocks)
+        out = factor.normal_form_word(part).terms
+        for factor, part, off in blocks:
+            block = [(tuple([g + off for g in w]), c)
+                     for w, c in factor.normal_form_word(part).terms.items()]
+            out = {w + bw: c if bc is one else bc if c is one else c * bc
+                   for w, c in out.items() for bw, bc in block}
         return out
 
     def _fold(self, word, terms):
@@ -253,26 +256,26 @@ class PresentedAlgebra:
         """The normal form of g·v, for a normal word v, as a terms dict.
 
         A redex of g·v can only start at position 0, since v is normal and
-        so holds none; find_redex looks for it in the first max|lhs|
-        letters.  If there is none, g·v is normal and its coefficient is
-        _one_poly itself.  Otherwise the rule is applied there, and each
-        right-hand word acts on the rest of v, a suffix of a normal word and
-        so normal.  The results are kept in _acts[g][v]: at most
-        #generators × dim entries.
+        so holds none; so only the rules whose left side starts with g are
+        tried, each against the start of g·v, in find_redex's order.  If
+        none matches, g·v is normal and its coefficient is _one_poly itself.
+        Otherwise the rule is applied there, and each right-hand word acts on
+        the rest of v, a suffix of a normal word and so normal.  The results
+        are kept in _acts[g][v]: at most #generators × dim entries.
         """
         table = self._acts[g]
         hit = table.get(v)
         if hit is None:
             word = (g,) + v
-            red = self.find_redex(word[: self._lhs_len])
-            if red is None:
-                hit = {word: self._one_poly}
+            for rule in self._rules_by_first.get(g, ()):
+                if word[: len(rule.lhs)] == rule.lhs:
+                    rest = {v[len(rule.lhs) - 1 :]: self._one_poly}
+                    hit = {}
+                    for rw, rc in rule.rhs:
+                        _add_scaled(hit, self._fold(rw, rest), rc, self._one_poly)
+                    break
             else:
-                rule = red[1]
-                rest = {v[len(rule.lhs) - 1 :]: self._one_poly}
-                hit = {}
-                for rw, rc in rule.rhs:
-                    _add_scaled(hit, self._fold(rw, rest), rc, self._one_poly)
+                hit = {word: self._one_poly}
             table[v] = hit
         return hit
 

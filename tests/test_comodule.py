@@ -2,6 +2,7 @@
 
 import pytest
 
+from hopfid import comodule
 from hopfid.comodule import (
     ComoduleAlgebra,
     GaloisObjectSpec,
@@ -19,7 +20,7 @@ from hopfid.commpoly import CommPoly
 from hopfid.cyclotomic import CyclotomicNumber
 from hopfid.exprparse import parse_object_spec
 from hopfid.hopf import (HopfPresentation, check_hopf_axioms, coaction_images, coproduct, en,
-                         family_hopf, taft)
+                         family_hopf, relation_failures, taft)
 from hopfid.ncalg import (AlgElement, Morphism, PresentedAlgebra, RewriteRule, embed,
                           tensor_product)
 from test_galois_oracle import coinvariants_by_elimination, galois_map_by_elimination
@@ -149,13 +150,17 @@ def test_check_comodule_passes_symbolically():
     assert check_comodule(galois_object(en_object_spec(2))).ok
 
 
-def test_corrupted_coaction_is_flagged():
-    # send y to 1 (x) y, dropping the y (x) x term, as test_hopf corrupts a
-    # coproduct; the relations still hold, the comodule laws do not
-    A = ComoduleAlgebra(taft_object_spec(2, a=1, c=0))
-    x_image = A.coaction_word((0,))
-    images = (x_image, A.tensor.element({(3,): 1}))
+def _drop_y_tensor_x(A):
+    """Send y to 1 (x) y on the taft:2 object A, dropping the y (x) x term, as
+    test_hopf corrupts a coproduct; the relations still hold, the comodule
+    laws do not."""
+    images = (A.coaction_word((0,)), A.tensor.element({(3,): 1}))
     A.coaction_map = Morphism(A.algebra, A.tensor, images.__getitem__)
+
+
+def test_corrupted_coaction_is_flagged():
+    A = ComoduleAlgebra(taft_object_spec(2, a=1, c=0))
+    _drop_y_tensor_x(A)
     rep = check_comodule(A)
     assert not rep.ok
     failures = "\n".join(rep.failures)
@@ -266,6 +271,39 @@ def test_galois_map_visits_no_basis_word(monkeypatch):
     monkeypatch.setattr(PresentedAlgebra, "basis", refuse)
     for A in objects:
         assert galois_map_bijective(A) is True, A.name
+
+
+def test_coinvariants_then_the_galois_map_prove_once(monkeypatch):
+    calls = []
+
+    def counted(name, f):
+        calls.append(name)
+        return relation_failures(name, f)
+
+    monkeypatch.setattr(comodule, "relation_failures", counted)
+    A = ComoduleAlgebra(taft_object_spec(3, a=1, c=1))
+    assert coinvariants(A) == [A.algebra.one()]
+    assert galois_map_bijective(A) is True
+    assert galois_map_bijective(A) is True
+    assert calls == ["coaction"]
+
+
+def test_a_swapped_coaction_is_proved_again():
+    A = ComoduleAlgebra(taft_object_spec(2, a=1, c=0))
+    assert galois_map_bijective(A) is True
+    _drop_y_tensor_x(A)
+    with pytest.raises(ValueError, match=r"family coaction: beta\(kappa\(y\)\) is not 1⊗y"):
+        galois_map_bijective(A)
+    with pytest.raises(ValueError, match=r"family coaction: beta\(kappa\(y\)\) is not 1⊗y"):
+        coinvariants(A)  # the refusal was not kept as a proof either
+
+
+def test_a_dropped_rule_is_proved_again():
+    A = ComoduleAlgebra(taft_object_spec(2, a=1, c=0))
+    assert galois_map_bijective(A) is True
+    A.algebra.rules = A.algebra.rules[:-1]
+    with pytest.raises(ValueError, match="needs the rules' left sides of taft:2$"):
+        galois_map_bijective(A)
 
 
 def test_galois_map_refuses_other_left_sides():

@@ -79,6 +79,24 @@ def test_products_of_basis_words_match_the_rewriting_oracle(label, algebra):
             assert alg.normal_form_word(word).terms == rewrite_normal_form(alg, word, cache), word
 
 
+@pytest.mark.parametrize("label, algebra", CASES, ids=[c[0] for c in CASES])
+def test_normal_forms_scan_for_no_redex(label, algebra, monkeypatch):
+    # act tries only the rules that start with its generator, at position 0:
+    # a fresh algebra (empty act table) never calls find_redex, and agrees
+    # with the algebra the test above checks against the oracle
+    alg = algebra()
+    basis = alg.basis()
+    want = {w1 + w2: alg.normal_form_word(w1 + w2).terms for w1 in basis for w2 in basis}
+    fresh = PresentedAlgebra(alg.name, alg.generators, alg.order, alg.rules)
+
+    def refuse(self, word):
+        raise AssertionError(f"find_redex called on {word}")
+
+    monkeypatch.setattr(PresentedAlgebra, "find_redex", refuse)
+    for word, terms in want.items():
+        assert fresh.normal_form_word(word).terms == terms, word
+
+
 def _words(n_gens, length):
     words = [()]
     level = [()]

@@ -81,6 +81,8 @@ def _cases():
         H = (taft(3) if label.startswith("taft") else en(2)).algebra
         cases.append((f"A({label})⊗H", lambda label=label, H=H: (_objects()[label], H)))
         cases.append((f"A({label})⊗H⊗H", lambda label=label, H=H: (_objects()[label], H, H)))
+    # one factor: the fold takes its normal forms as they are
+    cases.append(("A(taft:3 symbolic) alone", lambda: (_objects()["taft:3 symbolic"],)))
     cases.append(("T(X_taft:2)⊗taft:2", lambda: (free_algebra(taft(2), 2), taft(2).algebra)))
     cases.append(("T(X_en:1)⊗en:1", lambda: (free_algebra(en(1), 1), en(1).algebra)))
     return cases
