@@ -334,6 +334,8 @@ class CommPoly:
         return self.order == other.order and self.terms == other.terms
 
     def __hash__(self):
+        if self.is_constant():  # equal to its CyclotomicNumber, so hashed as one
+            return hash(self.constant_value())
         return hash((self.order, frozenset(self.terms.items())))
 
     def __str__(self):

@@ -332,6 +332,8 @@ class CyclotomicNumber:
         return (self.order, self.num, self.den) == (other.order, other.num, other.den)
 
     def __hash__(self):
+        if self.is_rational():  # equal to its Fraction, so hashed as one
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.order, self.num, self.den))
 
     def __str__(self):

@@ -5,6 +5,7 @@ one to kill it if it runs past a time limit.
 """
 
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -13,9 +14,10 @@ import time
 import pytest
 
 import hopfid
-from hopfid import cli
+from hopfid import cli, identities
 from hopfid.cli import main
-from hopfid.exprparse import MAX_SCALAR_BITS, MAX_SCALAR_TERMS
+from hopfid.cyclotomic import power
+from hopfid.exprparse import MAX_SCALAR_BITS, MAX_SCALAR_TERMS, parse_expression
 
 
 def run(capsys, *argv):
@@ -430,6 +432,43 @@ def test_exact_degree_past_the_mu_bound_exits_2(argv):
     assert "mu image bound" in proc.stderr
     assert proc.stderr.count("error:") == 1
     assert "Traceback" not in proc.stderr
+
+
+def _mu_by_squaring(spec, expr, m, mul):
+    A = hopfid.galois_object(hopfid.parse_object_spec(spec))
+    base = identities.mu(parse_expression(expr, A.hopf), A)
+    return power(base, m, A.algebra.one(), mul)
+
+
+def test_two_term_power_past_the_mu_bound_exits_2(capsys):
+    # (u+v)^2 = u^2 + v^2 here, and (t[1,x] + t[1,y])^2000 still has 2001 monomials
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mu", "--max-degree", "2000", "--object", "taft:2;a=1;c=0",
+                         "(X+Y)^2000")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert err.startswith("error: mu image bound: ")
+    assert err.count("\n") == 1
+
+
+def test_two_term_power_is_computed_as_by_squaring(capsys):
+    code, out, _ = run(capsys, "mu", "--max-degree", "400", "--object", "taft:2;a=1;c=0",
+                       "(X+Y)^400")
+    expected = _mu_by_squaring("taft:2;a=1;c=0", "X+Y", 400, identities._bounded_mul)
+    assert code == 0
+    assert out == f"mu image in A(taft:2;a=1;c=0): {expected}\n"
+
+
+def test_two_term_power_past_the_bound_of_its_squares_is_computed(capsys):
+    # squaring (X+Y)^46 on taft:3 would form a product past MAX_MU_PAIRS, so it
+    # was refused; by (u+v)^3 = u^3 + v^3 it is computed, and it is the same
+    # value as an unbounded squaring
+    spec = "taft:3;a=1;c=1"
+    with pytest.raises(ValueError, match="mu image bound"):
+        _mu_by_squaring(spec, "X+Y", 46, identities._bounded_mul)
+    code, out, _ = run(capsys, "mu", "--object", spec, "(X+Y)^46")
+    assert code == 0
+    assert out == f"mu image in A({spec}): {_mu_by_squaring(spec, 'X+Y', 46, operator.mul)}\n"
 
 
 def test_taft_pc_verified_at_n_20(capsys):

@@ -281,3 +281,22 @@ def test_mul_matches_the_reference_double_loop(order):
                 assert not any(c.is_zero() for c in got.terms.values())
         assert list(p.terms.items()) == before
         assert p * CommPoly.one(order) is p and 1 * p is p
+
+
+def test_equal_constants_hash_equal():
+    # a rational constant equals its int or Fraction, and any constant equals
+    # its cyclotomic value, so each hashes as that value
+    assert CommPoly.scalar(3, 2) == 2
+    assert len({CommPoly.scalar(3, 2), 2}) == 1
+    half = CyclotomicNumber.from_rational(3, Fraction(1, 2))
+    assert half == Fraction(1, 2)
+    assert len({half, Fraction(1, 2), CommPoly.constant(half)}) == 1
+    z = CyclotomicNumber.zeta(5)
+    assert len({z, CommPoly.constant(z)}) == 1
+    for order in (1, 2, 3, 5, 12):
+        for value in (0, 1, -7, Fraction(-3, 4)):
+            assert hash(CommPoly.scalar(order, value)) == hash(value)
+            assert hash(CyclotomicNumber.from_rational(order, value)) == hash(value)
+    # a zero of one order is not a zero of another, and neither is a variable
+    t = CommPoly.variable(3, TVar(1, 0, "1"))
+    assert len({t, t + 1, CommPoly.zero(3), CommPoly.zero(4)}) == 4
