@@ -302,7 +302,7 @@ def galois_map_bijective(A: ComoduleAlgebra) -> bool:
     a, one = A.param_poly("a"), CommPoly.one(T.order)
 
     def pure(left, right, c=one):  # left tensor right, normal words: nothing to reduce
-        return AlgElement(T, {T.join(left, right): c})
+        return AlgElement(T, {(left, right): c})
 
     beta_a_kappa_x = pure((0,) * (T.order - 1), ()) * A.coaction_word((0,))
     for g, name in enumerate(H.algebra.generators):
@@ -346,10 +346,10 @@ def check_comodule(A: ComoduleAlgebra) -> CheckReport:
         failures.append(f"the section check needs the rules' left sides of {H.name}")
     deletable = []
     for g, name in enumerate(alg.generators):
-        parts = [(H.square.split_word(w), c) for w, c in H.coproduct_word((g,)).terms.items()]
-        if A.coaction_word((g,)) != AlgElement(T, {T.join(*p): c for p, c in parts}):
+        delta = H.coproduct_word((g,)).terms  # u(h) is h, so (u x id)Delta(g) has its words
+        if A.coaction_word((g,)) != AlgElement(T, delta):
             failures.append(f"section does not intertwine the coactions on {name}")
-        firsts = {p[0] for p, _ in parts}
+        firsts = {u for u, _ in delta}
         if not firsts <= {(), (g,)}:
             failures.append(f"the section check needs first factors 1 or {name} in Delta({name})")
         if () in firsts:

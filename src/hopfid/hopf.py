@@ -137,9 +137,9 @@ def coaction_images(tensor) -> tuple:
     Generator 0 of both factors is x, the others y1..yk.  With M = H these
     are the coproduct on generators; with M a family object, its coaction.
     """
-    one, join = CommPoly.one(tensor.order), tensor.join
-    return (AlgElement(tensor, {join((0,), (0,)): one}),) + tuple(
-        AlgElement(tensor, {join((), (i,)): one, join((i,), (0,)): one})
+    one = CommPoly.one(tensor.order)
+    return (AlgElement(tensor, {((0,), (0,)): one}),) + tuple(
+        AlgElement(tensor, {((), (i,)): one, ((i,), (0,)): one})
         for i in range(1, len(tensor.tensor_factors[0].generators))
     )
 
@@ -244,12 +244,12 @@ def check_coaction_laws(
         rhs_acc: dict = {}
         counit_acc = alg.zero()
         for w, c in coaction_word((i,)).terms.items():
-            wm, wh = tensor.split_word(w)
+            wm, wh = w
             for w2, c2 in coaction_word(wm).terms.items():
-                key = triple.join(*tensor.split_word(w2), wh)
+                key = w2 + (wh,)
                 lhs_acc[key] = lhs_acc.get(key, 0) + c * c2
             for w2, c2 in H.coproduct_word(wh).terms.items():
-                key = triple.join(wm, *H.square.split_word(w2))
+                key = (wm,) + w2
                 rhs_acc[key] = rhs_acc.get(key, 0) + c * c2
             counit_acc = counit_acc + alg.element({wm: c * H.counit_word(wh)})
         if AlgElement(triple, lhs_acc) != AlgElement(triple, rhs_acc):
@@ -280,8 +280,7 @@ def check_hopf_axioms(H: HopfPresentation) -> CheckReport:
         left = alg.zero()
         s_left = alg.zero()
         s_right = alg.zero()
-        for w, c in H.coproduct_word((i,)).terms.items():
-            u, v = H.square.split_word(w)
+        for (u, v), c in H.coproduct_word((i,)).terms.items():
             left = left + alg.element({v: c * H.counit_word(u)})
             s_left = s_left + (H.antipode_word(u) * alg.element({v: 1})) * c
             s_right = s_right + (alg.element({u: 1}) * H.antipode_word(v)) * c

@@ -210,24 +210,17 @@ def _bounded_mul(x, y):
 
 
 def _commutation_order(base: AlgElement, m: int):
-    """The order d of λ if base = u + v with vu = λ·uv and 2 <= d <= m, else None."""
+    """The order d of λ if base = u + v with vu = λ·uv and 2 <= d <= m, else None.
+
+    The coefficients of u and v commute with everything, so λ depends on
+    their words alone.  When the normal forms of w_u·w_v and w_v·w_u are α·w
+    and β·w for one word w and constants α, β, then λ = β/α, and d is the
+    least d >= 1 with β^d = α^d, which needs no inverse.  A root of unity in
+    Q(ζ_N) has an order dividing lcm(2, N), so no d past 2N is tried.
+    """
     if len(base.terms) != 2:
         return None
-    d = _word_commutation_order(base.algebra, *base.terms)
-    return d if d is not None and d <= m else None
-
-
-@lru_cache(maxsize=None)
-def _word_commutation_order(alg: PresentedAlgebra, wu, wv):
-    """The order d >= 2 of λ if w_v·w_u = λ·w_u·w_v for normal words of alg, else None.
-
-    When the normal forms of w_u·w_v and w_v·w_u are α·w and β·w for one
-    word w and constants α, β, then λ = β/α, and d is the least d >= 1 with
-    β^d = α^d, which needs no inverse.  A root of unity in Q(ζ_N) has an
-    order dividing lcm(2, N), so no d past 2N is tried.  The coefficients of
-    u and v commute with everything, so d depends on the two words alone and
-    is kept per algebra and pair: a verdict raises the same images each time.
-    """
+    alg, (wu, wv) = base.algebra, base.terms
     uv, vu = alg.mul_words(wu, wv), alg.mul_words(wv, wu)
     if len(uv) != 1 or uv.keys() != vu.keys():  # also uv = 0 or vu = 0
         return None
@@ -236,7 +229,7 @@ def _word_commutation_order(alg: PresentedAlgebra, wu, wv):
         return None
     alpha, beta = alpha.constant_value(), beta.constant_value()
     a, b = alpha, beta
-    for d in range(1, 2 * alg.order + 1):
+    for d in range(1, min(m, 2 * alg.order) + 1):
         if a == b:
             return d if d >= 2 else None
         a, b = a * alpha, b * beta
@@ -349,8 +342,7 @@ def _mu_image(T: PresentedAlgebra, A: ComoduleAlgebra, gid: int) -> AlgElement:
     H = A.hopf
     i, r = _gen_meta(T, gid)
     acc = A.algebra.zero()
-    for sw, sc in H.coproduct_word(H.basis()[r]).terms.items():
-        u, v = H.square.split_word(sw)
+    for (u, v), sc in H.coproduct_word(H.basis()[r]).terms.items():
         acc = acc + AlgElement(A.algebra, {v: sc * t_var(H, i, u)})
     return acc
 
@@ -469,7 +461,7 @@ def _coinvariant_core(hs, refusal) -> FreeComodulePoly:
     if H is None or any(h.algebra is not hs[0].algebra for h in hs):
         raise ValueError(refusal)
     alg = H.algebra
-    halves = [[(H.square.split_word(sw), c * sc) for w, c in h.terms.items()
+    halves = [[(sw, c * sc) for w, c in h.terms.items()
                for sw, sc in H.coproduct_word(w).terms.items()] for h in hs]
     out = FreeComodulePoly.zero(H)
     for ((u, v), c), *rest in itertools.product(*halves):

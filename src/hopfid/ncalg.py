@@ -16,11 +16,10 @@ only start at position 0: act is g·v itself or one rule starting with g
 applied there (find_redex is left to the checks), after which each
 right-hand word's letters act on the normal rest.  act is memoised per
 algebra, with at most #generators × dim entries.  A tensor product has no
-rules of its own and reduces factor by factor, joining the factors' normal
-forms in one fold over the blocks.  Its words lay out the factors' words
-block by block (split_word and join); a product of two of its normal words
-is formed factor by factor too (mul_words), from a split table of the
-normal words, with at most Π dim(factor) entries.
+rules of its own: its word is the tuple of one word per factor, and it
+reduces factor by factor, each factor through its own cached normal forms.
+Its normal words are the tuples of the factors' normal words (Bergman's
+diamond lemma), ordered like the factors' words laid out block by block.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ __all__ = [
     "CheckReport",
 ]
 
-Word = tuple  # tuple of generator indices
+Word = tuple  # generator indices; in a tensor product, one such tuple per factor
 
 MAX_BASIS_WORDS = 100000  # for basis(), and for the family sizes a spec may name
 
@@ -81,12 +80,7 @@ class PresentedAlgebra:
         self.order = order
         self.rules = tuple(rules)
         self.tensor_factors = tensor_factors
-        self.factor_offsets = None
-        if tensor_factors is not None:
-            sizes = [len(f.generators) for f in tensor_factors]
-            self.factor_offsets = tuple(itertools.accumulate([0] + sizes[:-1]))
-            self._letters = [(k, g) for k, n in enumerate(sizes) for g in range(n)]
-            self._splits = {}  # normal word -> its factor parts; see mul_words
+        self.empty_word = () if tensor_factors is None else ((),) * len(tensor_factors)
         self._gen_index = {g: i for i, g in enumerate(self.generators)}
         if len(self._gen_index) != len(self.generators):
             raise ValueError("generator names must be distinct")
@@ -121,10 +115,22 @@ class PresentedAlgebra:
         return AlgElement(self, {})
 
     def one(self) -> AlgElement:
-        return AlgElement(self, {(): self._one_poly})
+        return AlgElement(self, {self.empty_word: self._one_poly})
 
     def gen(self, name) -> AlgElement:
-        return AlgElement(self, {(self.gen_index(name),): self._one_poly})
+        i = self.gen_index(name)
+        if self.tensor_factors is not None:  # "g@k" is generator g of factor k
+            g, k = name.rsplit("@", 1)
+            return embed(self.tensor_factors[int(k)].gen(g), self, int(k))
+        return AlgElement(self, {(i,): self._one_poly})
+
+    def word_key(self, word):
+        """The term order: length, then the letters in order.  A tensor word's
+        letters are its (factor, letter) pairs, which orders tensor words like
+        their factors' words laid out block by block."""
+        if self.tensor_factors is None:
+            return deglex_key(word)
+        return sum(map(len, word)), [(k, g) for k, part in enumerate(word) for g in part]
 
     def element(self, pairs) -> AlgElement:
         """Build an element from (word, coefficient) pairs, reducing each word."""
@@ -169,19 +175,13 @@ class PresentedAlgebra:
         With rules, the word's letters act, last first, on the empty word
         (act(g, v) is the normal form of g·v for a normal word v; see _act,
         whose table holds at most #generators × dim entries), and the result
-        is cached per word.  A tensor product returns a word of its split
-        table (see mul_words) as itself, since the table holds normal words
-        only; any other word, which may interleave the factors' letters, is
-        split and reduced factor by factor (see _reduce_parts) through the
-        factors' cached normal forms, and is not kept, since a word asked
-        for here is mostly a one-off.  A free algebra's word is its own
-        normal form."""
+        is cached per word.  A tensor product reduces factor by factor (see
+        _reduce_parts) and keeps nothing of its own.  A free algebra's word
+        is its own normal form."""
         word = tuple(word)
         one = self._one_poly
         if self.tensor_factors is not None:  # no rules: nothing is left to rewrite
-            if word in self._splits:  # a normal word
-                return _raw(self, {word: one})
-            return _raw(self, self._reduce_parts(self.split_word(word)))
+            return _raw(self, self._reduce_parts(word))
         if not self.rules:  # a free algebra: every word is normal
             return _raw(self, {word: one})
         hit = self._nf_cache.get(word)
@@ -192,45 +192,25 @@ class PresentedAlgebra:
     def mul_words(self, w1, w2):
         """The normal form of w1·w2, for normal words w1 and w2, as a terms dict.
 
-        No caller may change the dict.  In a tensor product each operand's
-        factor parts come from the split table _splits, which holds normal
-        words of the product only, so at most Π dim(factor) entries, and
-        never the one-off concatenation w1 + w2: the generator images a
-        Morphism multiplies by recur in every product.  Each factor then
-        reduces its two parts' concatenation through its own cached normal
-        forms.
+        No caller may change the dict.  In a tensor product each factor
+        reduces the concatenation of its two parts.
         """
         if self.tensor_factors is None:
             return self.normal_form_word(w1 + w2).terms
-        splits = self._splits
-        p1 = splits.get(w1)
-        if p1 is None:
-            p1 = splits[w1] = self.split_word(w1)
-        p2 = splits.get(w2)
-        if p2 is None:
-            p2 = splits[w2] = self.split_word(w2)
-        return self._reduce_parts(map(tuple.__add__, p1, p2))
+        return self._reduce_parts(map(tuple.__add__, w1, w2))
 
     def _reduce_parts(self, parts):
         """The normal form of the tensor word with these factor parts, as a terms dict.
 
-        Each part is reduced in its factor and the results are joined: the
-        joins of normal factor words are the product's normal words
-        (Bergman's diamond lemma).  One fold over the blocks: the first
-        factor's normal form is taken as it is (its block starts at 0), and
-        each further factor's normal words are shifted into their block once
-        and appended to every partial word.  Distinct factor words join to
-        distinct words, and coefficients are nonzero, so nothing is summed.
+        Each part is reduced in its factor, and each normal word of the next
+        factor is appended to every partial word.  Distinct factor words make
+        distinct tuples, and coefficients are nonzero, so nothing is summed.
         """
-        one = self._one_poly
-        blocks = zip(self.tensor_factors, parts, self.factor_offsets)
-        factor, part, _ = next(blocks)
-        out = factor.normal_form_word(part).terms
-        for factor, part, off in blocks:
-            block = [(tuple([g + off for g in w]), c)
-                     for w, c in factor.normal_form_word(part).terms.items()]
-            out = {w + bw: c if bc is one else bc if c is one else c * bc
-                   for w, c in out.items() for bw, bc in block}
+        one, out = self._one_poly, {(): self._one_poly}
+        for factor, part in zip(self.tensor_factors, parts):
+            terms = factor.normal_form_word(part).terms
+            out = {w + (fw,): c if fc is one else fc if c is one else c * fc
+                   for w, c in out.items() for fw, fc in terms.items()}
         return out
 
     def _fold(self, word, terms):
@@ -282,15 +262,14 @@ class PresentedAlgebra:
     # -- basis enumeration ---------------------------------------------------
 
     def basis(self):
-        """All normal words in deglex order; errors out past MAX_BASIS_WORDS."""
+        """All normal words in word_key order; errors out past MAX_BASIS_WORDS."""
         if self._basis_cache is not None:
             return self._basis_cache
         out = [()]
         level = [()]
         if self.tensor_factors is not None:
-            parts = itertools.islice(itertools.product(*(f.basis() for f in self.tensor_factors)),
-                                     MAX_BASIS_WORDS + 1)
-            out = sorted(itertools.starmap(self.join, parts), key=deglex_key)
+            out = sorted(itertools.islice(itertools.product(*(f.basis() for f in self.tensor_factors)),
+                                          MAX_BASIS_WORDS + 1), key=self.word_key)
             level = []
         # w is already normal, so a redex of w + (g,) can only be a suffix:
         # one set lookup per length of a left side
@@ -317,8 +296,7 @@ class PresentedAlgebra:
 
     def render_word(self, word) -> str:
         if self.tensor_factors is not None:
-            parts = zip(self.tensor_factors, self.split_word(word))
-            return "⊗".join(f.render_word(sub) for f, sub in parts)
+            return "⊗".join(f.render_word(sub) for f, sub in zip(self.tensor_factors, word))
         if not word:
             return "1"
         runs = []
@@ -333,19 +311,16 @@ class PresentedAlgebra:
         )
 
     def split_word(self, word):
-        """Partition a tensor-product word into per-factor subwords."""
+        """The per-factor subwords of a tensor-product word: the word itself."""
         if self.tensor_factors is None:
             raise ValueError(f"{self.name} is not a tensor product")
-        parts = [[] for _ in self.tensor_factors]
-        for k, local in map(self._letters.__getitem__, word):
-            parts[k].append(local)
-        return tuple(map(tuple, parts))
+        return word
 
     def join(self, *parts) -> Word:
         """The tensor-product word of one subword per factor; inverts split_word."""
         if self.tensor_factors is None or len(parts) != len(self.tensor_factors):
             raise ValueError(f"{self.name} is not a tensor product of {len(parts)} factors")
-        return tuple([g + off for part, off in zip(parts, self.factor_offsets) for g in part])
+        return parts
 
     def __repr__(self):
         return f"PresentedAlgebra({self.name})"
@@ -404,7 +379,7 @@ class AlgElement:
             poly = self.algebra.coerce_poly(other)
         except ValueError:
             return NotImplemented
-        return self + AlgElement(self.algebra, {(): poly})
+        return self + self.algebra.one() * poly
 
     __radd__ = __add__
 
@@ -419,7 +394,7 @@ class AlgElement:
             poly = self.algebra.coerce_poly(other)
         except ValueError:
             return NotImplemented
-        return self - AlgElement(self.algebra, {(): poly})
+        return self - self.algebra.one() * poly
 
     def __rsub__(self, other):
         return (-self) + other
@@ -466,7 +441,7 @@ class AlgElement:
     def degree(self) -> int:
         if not self.terms:
             return 0
-        return max(len(w) for w in self.terms)
+        return max(self.algebra.word_key(w)[0] for w in self.terms)
 
     def coefficient(self, word) -> CommPoly:
         word = tuple(
@@ -475,7 +450,7 @@ class AlgElement:
         return self.terms.get(word, CommPoly.zero(self.algebra.order))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda p: deglex_key(p[0]))
+        return sorted(self.terms.items(), key=lambda p: self.algebra.word_key(p[0]))
 
     def __eq__(self, other):
         if isinstance(other, AlgElement):
@@ -485,7 +460,7 @@ class AlgElement:
                 poly = self.algebra.coerce_poly(other)
             except ValueError:
                 return NotImplemented
-            return self.terms == AlgElement(self.algebra, {(): poly}).terms
+            return self.terms == (self.algebra.one() * poly).terms
         return NotImplemented
 
     def __str__(self):
@@ -493,7 +468,7 @@ class AlgElement:
         for w, c in self.sorted_terms():
             word = self.algebra.render_word(w)
             single = len(c.terms) == 1
-            if not w:
+            if w == self.algebra.empty_word:
                 body = str(c) if (single or not c.terms) else f"({c})"
             elif single:
                 cs = str(c)
@@ -581,10 +556,10 @@ class Morphism:
 def tensor_product(*factors) -> PresentedAlgebra:
     """The tensor product algebra; it reduces factor by factor.
 
-    Generators are the factors' generators laid out block by block, left
-    factors first, and a normal word is the join of one normal word per
-    factor.  The product has no rules of its own: normal_form_word reduces
-    each factor's subword in that factor.
+    Generators are the factors' generators, left factors first, generator g
+    of factor k named "g@k"; a word is a tuple of one word per factor.  The
+    product has no rules of its own: normal_form_word reduces each factor's
+    word in that factor.
     """
     if not factors:
         raise ValueError("tensor product needs at least one factor")

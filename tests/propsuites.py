@@ -5,6 +5,7 @@ presentations and returns a list of failure descriptions; an empty list means
 the property held everywhere.
 """
 
+import math
 from fractions import Fraction
 
 from hopfid.commpoly import CommPoly, ParamVar, TVar
@@ -72,6 +73,9 @@ def random_element(rng, alg, allow_tvars=False, max_len=3, max_terms=3):
             rng.randrange(gens) for _ in range(rng.randrange(max_len + 1))
         )
         coeff = random_scalar(rng, alg.order, allow_tvars)
+        if alg.tensor_factors is not None:  # a word over the generators g@k, multiplied out
+            total = total + math.prod((alg.gen(alg.generators[g]) for g in word), start=alg.one()) * coeff
+            continue
         total = total + alg.element({word: coeff})
     return total
 

@@ -52,6 +52,18 @@ def test_coproduct(capsys):
     assert out == "coproduct in taft:2: 1⊗y + y⊗x\n"
 
 
+def test_coproduct_orders_terms_across_factors(capsys):
+    # same-length terms in the order of their factors' words laid out block by
+    # block: y1*y2⊗1 before 1⊗y1*y2, though () sorts before (1, 2) as a tuple
+    want = "y1*y2⊗1 + 1⊗y1*y2 + y1⊗x*y2 - y2⊗x*y1"
+    code, out, _ = run(capsys, "coproduct", "--hopf", "en:2", "y1*y2")
+    assert code == 0
+    assert out == f"coproduct in en:2: {want}\n"
+    code, doc = run_json(capsys, "coproduct", "--hopf", "en:2", "y1*y2")
+    assert code == 0
+    assert doc["result"]["coproduct"] == want
+
+
 def test_mu_text(capsys):
     code, out, _ = run(
         capsys, "mu", "--object", "taft:2;a=1;c=0", "Y*X - q*X*Y"

@@ -154,7 +154,7 @@ def _drop_y_tensor_x(A):
     """Send y to 1 (x) y on the taft:2 object A, dropping the y (x) x term, as
     test_hopf corrupts a coproduct; the relations still hold, the comodule
     laws do not."""
-    images = (A.coaction_word((0,)), A.tensor.element({(3,): 1}))
+    images = (A.coaction_word((0,)), A.tensor.element({A.tensor.join((), (1,)): 1}))
     A.coaction_map = Morphism(A.algebra, A.tensor, images.__getitem__)
 
 
@@ -206,7 +206,7 @@ def _dropping_1_tensor_y(spec):
     # send y to y (x) x, dropping the 1 (x) y term: then xy is coinvariant
     # next to 1, and beta misses every tensor with a y on the Hopf side
     A = ComoduleAlgebra(spec)
-    images = (A.coaction_word((0,)), A.tensor.element({(1, 2): 1}))
+    images = (A.coaction_word((0,)), A.tensor.element({A.tensor.join((1,), (0,)): 1}))
     A.coaction_map = Morphism(A.algebra, A.tensor, images.__getitem__)
     return A
 
@@ -229,7 +229,8 @@ def test_corrupted_coaction_is_not_galois():
 def test_galois_map_refuses_a_coaction_breaking_relations():
     # y -> y (x) 1 + 1 (x) y sends y^2 = 0 to 2 y (x) y, so delta is no algebra map
     A = ComoduleAlgebra(taft_object_spec(2, a=1, c=0))
-    images = (A.coaction_word((0,)), A.tensor.element({(1,): 1, (3,): 1}))
+    images = (A.coaction_word((0,)), A.tensor.element({A.tensor.join((1,), ()): 1,
+                                                       A.tensor.join((), (1,)): 1}))
     A.coaction_map = Morphism(A.algebra, A.tensor, images.__getitem__)
     with pytest.raises(ValueError, match=r"needs an algebra map: coaction incompatible with relation y\^2$"):
         galois_map_bijective(A)
@@ -350,7 +351,7 @@ def test_check_comodule_fails_on_other_first_factors():
     # Delta(y) = y (x) 1 + x (x) y and S(y) = -xy make taft:2 a Hopf algebra
     # too, but the first factor x of y's image is neither 1 nor y: nothing is
     # proved, though the section holds on this object
-    H = corrupted_hopf(taft(2), coproduct={1: {(1,): 1, (0, 3): 1}}, antipode={1: {(0, 1): -1}})
+    H = corrupted_hopf(taft(2), coproduct={1: {((1,), ()): 1, ((0,), (1,)): 1}}, antipode={1: {(0, 1): -1}})
     assert check_hopf_axioms(H).ok
     assert check_comodule(_hopf_as_object(H)).failures == (
         "the section check needs first factors 1 or y in Delta(y)",)

@@ -116,11 +116,10 @@ def ref_object(spec):
     alg = PresentedAlgebra("ref", names, order, rules)
     H = spec.hopf()
     tensor = tensor_product(alg, H.algebra)
-    ng = len(names)
-    one = CommPoly.one(order)
-    co = [tensor.element({(0, ng): one})]
-    for i in range(1, ng):
-        co.append(tensor.element({(ng + i,): one, (i, ng): one}))
+    one, join = CommPoly.one(order), tensor.join
+    co = [tensor.element({join((0,), (0,)): one})]
+    for i in range(1, len(names)):
+        co.append(tensor.element({join((), (i,)): one, join((i,), (0,)): one}))
     return alg.generators, rules, co
 
 

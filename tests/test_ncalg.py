@@ -178,14 +178,17 @@ def test_tensor_product_structure():
 def test_tensor_split_and_render():
     alg = sweedler_like()
     sq = tensor_product(alg, alg)
-    w = (0, 2)  # x (x) x
-    assert sq.split_word(w) == ((0,), (0,))
-    assert sq.render_word((0, 2)) == "x⊗x"
-    assert sq.render_word(()) == "1⊗1"
-    assert sq.render_word((1, 2, 3)) == "y⊗x*y"
+    w = sq.join((0,), (0,))  # x (x) x
+    assert w == ((0,), (0,)) and sq.split_word(w) == ((0,), (0,))
+    assert sq.render_word(w) == "x⊗x"
+    assert sq.render_word(sq.join((), ())) == "1⊗1"
+    assert sq.render_word(sq.join((1,), (0, 1))) == "y⊗x*y"
+    assert sq.gen("y@1") * sq.gen("x@0") == sq.element({sq.join((0,), (1,)): 1})
+    assert sq.one().terms == {((), ()): CommPoly.one(alg.order)}
+    assert str(sq.one() * 3) == "3" and str(sq.gen("x@1") - 2) == "-2 + 1⊗x"
     triple = tensor_product(alg, alg, alg)
-    assert triple.split_word((0, 2, 4)) == ((0,), (0,), (0,))
-    assert triple.render_word((0,)) == "x⊗1⊗1"
+    assert triple.split_word(triple.join((0,), (0,), (0,))) == ((0,), (0,), (0,))
+    assert triple.render_word(triple.join((0,), (), ())) == "x⊗1⊗1"
 
 
 def test_embed():

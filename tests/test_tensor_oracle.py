@@ -3,21 +3,21 @@
 rewriting_tensor_product builds a tensor product as a rewriting system of
 its own: every factor rule with its generators shifted into the factor's
 block, and one cross rule (h, g) -> (g, h) for each generator h of a later
-factor and g of an earlier one.  tensor_product has no rules and reduces
-each factor's subword in that factor instead; both must give the same
-normal forms, the same basis and the same word layout.
+factor and g of an earlier one; its words are flat, the factors' letters
+laid out block by block.  tensor_product has no rules, keeps a word as the
+tuple of its factors' words and reduces each in its factor instead.  Read
+through _split and _flat, both must give the same normal forms, the same
+basis and the same order.
 """
 
 import itertools
-import math
 import random
 
 import pytest
 
 from hopfid import ncalg
 from hopfid.commpoly import CommPoly
-from hopfid.comodule import (check_comodule, coinvariants, en_object_spec, galois_map_bijective,
-                             galois_object, taft_object_spec)
+from hopfid.comodule import en_object_spec, galois_object, taft_object_spec
 from hopfid.hopf import en, taft
 from hopfid.identities import free_algebra
 from hopfid.ncalg import PresentedAlgebra, RewriteRule, tensor_product
@@ -25,6 +25,25 @@ from hopfid.ncalg import PresentedAlgebra, RewriteRule, tensor_product
 
 def _offsets(factors):
     return list(itertools.accumulate([0] + [len(f.generators) for f in factors[:-1]]))
+
+
+def _split(factors, word):
+    """The factor words of a flat word, each factor's letters in their order."""
+    offsets = _offsets(factors)
+    parts = [[] for _ in factors]
+    for g in word:
+        k = max(k for k, off in enumerate(offsets) if g >= off)
+        parts[k].append(g - offsets[k])
+    return tuple(map(tuple, parts))
+
+
+def _flat(factors, word):
+    """The flat word of a tensor word: its factors' words laid out block by block."""
+    return tuple(g + off for part, off in zip(word, _offsets(factors)) for g in part)
+
+
+def _flat_terms(factors, elem):
+    return {_flat(factors, w): c for w, c in elem.terms.items()}
 
 
 def rewriting_tensor_product(*factors):
@@ -104,50 +123,28 @@ def test_factorwise_normal_forms_match_the_rewriting_oracle(label, factors):
     for k in range(50):
         redex = (lambda: True) if k < 25 else (lambda: rng.random() < 0.5)
         word = _interleaved_word(rng, factors, redex)
-        assert product.normal_form_word(word).terms == oracle.normal_form_word(word).terms, word
-        assert product.is_normal(word) == (oracle.find_redex(word) is None), word
-    # products of elements go through the same normal forms
+        parts = _split(factors, word)
+        got = product.normal_form_word(parts)
+        assert _flat_terms(factors, got) == oracle.normal_form_word(word).terms, word
+        # one normal word per factor
+        assert all(len(w) == len(factors) and all(map(PresentedAlgebra.is_normal, factors, w))
+                   for w in got.terms), word
+        assert product.is_normal(parts) == (oracle.find_redex(_flat(factors, parts)) is None), word
+    # products of elements go through the same normal forms, in the same order
     words = [_interleaved_word(rng, factors) for _ in range(4)]
-    left = product.element({w: k + 1 for k, w in enumerate(words[:2])})
-    right = product.element({w: 1 - k for k, w in enumerate(words[2:])})
+    left = product.element([(_split(factors, w), k + 1) for k, w in enumerate(words[:2])])
+    right = product.element([(_split(factors, w), 1 - k) for k, w in enumerate(words[2:])])
     o_left = oracle.element({w: k + 1 for k, w in enumerate(words[:2])})
     o_right = oracle.element({w: 1 - k for k, w in enumerate(words[2:])})
-    assert (left * right).terms == (o_left * o_right).terms
-    # operand words that are products' normal words, as the split table holds them
-    chained = [((left * right) * left, (o_left * o_right) * o_left),
+    # operand words that are products' normal words too
+    chained = [(left * right, o_left * o_right),
+               ((left * right) * left, (o_left * o_right) * o_left),
                (right * (left * right), o_right * (o_left * o_right)),
                ((left * left) * (right * right), (o_left * o_left) * (o_right * o_right))]
     for got, want in chained:
-        assert got.terms == want.terms
-
-
-SPECS = [(f"taft:{n} numeric", lambda n=n: taft_object_spec(n, 2, 1)) for n in (2, 3, 4, 5)]
-SPECS += [(f"taft:{n} symbolic", lambda n=n: taft_object_spec(n)) for n in (2, 3, 4, 5)]
-SPECS += [(f"en:{n} numeric", lambda n=n: en_object_spec(
-    n, 3, [1 - i for i in range(n)], {(i, j): i - j for i in range(1, n + 1) for j in range(i + 1, n + 1)}))
-    for n in (1, 2, 3)]
-SPECS += [(f"en:{n} symbolic", lambda n=n: en_object_spec(n)) for n in (1, 2, 3)]
-
-
-@pytest.mark.parametrize("label, spec", SPECS, ids=[s[0] for s in SPECS])
-def test_split_table_holds_only_normal_words(label, spec):
-    A = galois_object(spec())
-    if A.spec.symbolic_keys():
-        with pytest.raises(ValueError, match="needs numeric parameters"):
-            coinvariants(A)
-    else:
-        assert coinvariants(A) == [A.algebra.one()]
-    assert galois_map_bijective(A) is True
-    assert check_comodule(A).ok
-    H = A.hopf.algebra
-    products = (A.tensor, A.hopf.square, tensor_product(A.algebra, H, H))
-    assert A.tensor._splits and A.hopf.square._splits  # the checks multiply in both
-    for T in products:
-        assert len(T._splits) <= math.prod(len(f.basis()) for f in T.tensor_factors)
-        for w, parts in T._splits.items():
-            # normal: one normal word per factor, in block layout (is_normal reads the table)
-            assert w == T.join(*parts) and parts == T.split_word(w), (T.name, w)
-            assert all(f.is_normal(p) for f, p in zip(T.tensor_factors, parts)), (T.name, w)
+        assert _flat_terms(factors, got) == want.terms
+        assert [_flat(factors, w) for w, _ in got.sorted_terms()] == [w for w, _ in want.sorted_terms()]
+        assert got.degree() == want.degree()
 
 
 @pytest.mark.parametrize("label, factors", CASES, ids=[c[0] for c in CASES])
@@ -161,7 +158,7 @@ def test_product_basis_matches_the_rewriting_oracle(label, factors, monkeypatch)
             with pytest.raises(ValueError, match="more than 50 normal words"):
                 alg.basis()
         return
-    assert list(product.basis()) == list(oracle.basis())
+    assert [_flat(factors, w) for w in product.basis()] == list(oracle.basis())
     assert all(product.is_normal(w) for w in product.basis())
 
 
@@ -174,11 +171,11 @@ def test_join_inverts_split_word(label, factors):
     for _ in range(25):
         parts = tuple(_factor_word(rng, f) for f in factors)
         word = product.join(*parts)
-        assert word == tuple(g + off for p, off in zip(parts, offsets) for g in p)
-        assert product.split_word(word) == parts
+        assert word == parts and product.split_word(word) == parts
+        assert _split(factors, _flat(factors, word)) == parts
         # an interleaved word splits into its factors' subwords in order
         mixed = _interleaved_word(rng, factors)
-        assert product.join(*product.split_word(mixed)) == tuple(sorted(
+        assert _flat(factors, _split(factors, mixed)) == tuple(sorted(
             mixed, key=lambda g: max(k for k, off in enumerate(offsets) if g >= off)))
     with pytest.raises(ValueError, match="not a tensor product"):
         product.join(*parts[:-1])
