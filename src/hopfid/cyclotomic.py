@@ -81,19 +81,20 @@ def field_degree(n: int) -> int:
 
 
 def power(base, k, one, mul=operator.mul):
-    """base ** k for k >= 0 by repeated squaring, starting from one.
+    """base ** k for k >= 0 by repeated squaring, one only for k = 0.
 
-    One product per set bit of k and one squaring between bits, none after
-    the top bit, each formed by mul, which may raise to refuse the power.
+    The result starts as base^(2^i) for the lowest set bit i of k; then one
+    squaring between bits and one product per further set bit, each formed
+    by mul, which may raise to refuse the power.  So k >= 1 costs
+    k.bit_count() + k.bit_length() - 2 products: none by one, none after the top bit.
     """
-    result = one
+    result = None
     while k:
         if k & 1:
-            result = mul(result, base)
-        k >>= 1
-        if k:
+            result = base if result is None else mul(result, base)
+        if k := k >> 1:
             base = mul(base, base)
-    return result
+    return one if result is None else result
 
 
 def join_signed(parts):

@@ -11,9 +11,9 @@ for a scalar and the AlgElement or FreeComodulePoly otherwise, so sums,
 products and the lifting of scalars are those of the value types.  The
 literal q always means the primitive root of unity of the active context and
 z the standard generator zeta of its cyclotomic field.  Division and negative
-powers apply to invertible scalars only.  Input past the bounds below
-(nesting depth, copy index, scalar bits, degree) is refused with a
-ParseError.
+powers apply to invertible scalars only; an element's power is
+AlgElement.power.  Input past the bounds below (nesting depth, copy index,
+literal and scalar bits, degree) is refused with a ParseError.
 """
 
 from __future__ import annotations
@@ -79,11 +79,12 @@ MAX_COPIES = 100
 # sets none: free words never reduce, so X^99999999 would be built in full
 DEFAULT_FREE_DEGREE = 256
 
-# a power of a scalar or of an algebra-context element is refused once a square
-# or partial product has a coefficient with a numerator or denominator past
+# a power of a scalar or of an algebra-context element is refused once a product
+# it forms has a coefficient with a numerator or denominator past
 # MAX_SCALAR_BITS bits, or with more than MAX_SCALAR_TERMS monomials
 MAX_SCALAR_BITS = 4096
 MAX_SCALAR_TERMS = 256
+_MAX_LITERAL_DIGITS = len(str(1 << MAX_SCALAR_BITS))  # a literal with more has more bits
 
 
 def _tokenize(text):
@@ -157,6 +158,14 @@ class _Parser:
     def fail(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, tok[2], self.text)
+
+    def integer(self, tok):
+        """The value of an INT token, refused past MAX_SCALAR_BITS bits; its
+        digits are counted first, since int() refuses 4300 on some versions."""
+        digits = tok[1].lstrip("0") or "0"
+        if len(digits) > _MAX_LITERAL_DIGITS or (value := int(digits)).bit_length() > MAX_SCALAR_BITS:
+            self.fail(f"integer literal exceeds {MAX_SCALAR_BITS} bits", tok)
+        return value
 
     def nested(self, parse, tok, levels=1):
         """Run parse() one nesting level deeper, refusing input past the limit."""
@@ -272,8 +281,9 @@ class _Parser:
 
     def _bounded_power(self, base, k, op):
         """base ** k for a scalar or an algebra element, refused as soon as a
-        square or a partial product has a coefficient past MAX_SCALAR_BITS
-        bits or MAX_SCALAR_TERMS terms."""
+        product it forms has a coefficient past MAX_SCALAR_BITS bits or
+        MAX_SCALAR_TERMS terms.  An element takes AlgElement.power, so a
+        power of two q-commuting terms never forms their cancelling middle terms."""
         scalar = isinstance(base, CommPoly)
         noun = "scalar power" if scalar else "coefficient of a power"
 
@@ -287,8 +297,9 @@ class _Parser:
                         self.fail(f"{noun} exceeds {MAX_SCALAR_BITS} bits", op)
             return v
 
-        one = CommPoly.one(base.order) if scalar else base.algebra.one()
-        return power(base, k, one, bounded)
+        if scalar:
+            return power(base, k, CommPoly.one(base.order), bounded)
+        return base.power(k, bounded)
 
     def exponent(self):
         tok = self.peek()
@@ -301,13 +312,12 @@ class _Parser:
         if tok[0] == "-":
             self.next()
             sign = -1
-        tok = self.expect("INT")
-        return sign * int(tok[1])
+        return sign * self.integer(self.expect("INT"))
 
     def atom(self):
         tok = self.next()
         if tok[0] == "INT":
-            return CommPoly.scalar(self.ctx.order, int(tok[1]))
+            return CommPoly.scalar(self.ctx.order, self.integer(tok))
         if tok[0] == "(":
             val = self.nested(self.expr, tok)
             self.expect(")")
@@ -395,7 +405,7 @@ class _Parser:
         """Parse the [i, h] trailer of a free symbol or coefficient."""
         self.expect("[")
         itok = self.expect("INT")
-        copy = int(itok[1])
+        copy = self.integer(itok)
         if copy < 1:
             self.fail("copy indices start at 1", itok)
         if copy > MAX_COPIES:
@@ -430,10 +440,10 @@ class _Parser:
                 return None
         elif self.peek()[0] == "[":
             self.next()
-            first = int(self.expect("INT")[1])
+            first = self.integer(self.expect("INT"))
             if self.peek()[0] == ",":
                 self.next()
-                second = int(self.expect("INT")[1])
+                second = self.integer(self.expect("INT"))
                 indices = (first, second)
             else:
                 indices = (first,)

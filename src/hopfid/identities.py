@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .commpoly import CommPoly, ParamVar, TVar
 from .comodule import ComoduleAlgebra, Symbolic, galois_object
-from .cyclotomic import CyclotomicNumber, power
+from .cyclotomic import CyclotomicNumber
 from .hopf import HopfPresentation, antipode, taft, en, trivial_hopf
 from .ncalg import AlgElement, Morphism, PresentedAlgebra
 
@@ -209,65 +209,14 @@ def _bounded_mul(x, y):
     return x * y
 
 
-def _commutation_order(base: AlgElement, m: int):
-    """The order d of λ if base = u + v with vu = λ·uv and 2 <= d <= m, else None.
-
-    The coefficients of u and v commute with everything, so λ depends on
-    their words alone.  When the normal forms of w_u·w_v and w_v·w_u are α·w
-    and β·w for one word w and constants α, β, then λ = β/α, and d is the
-    least d >= 1 with β^d = α^d, which needs no inverse.  A root of unity in
-    Q(ζ_N) has an order dividing lcm(2, N), so no d past 2N is tried.
-    """
-    if len(base.terms) != 2:
-        return None
-    alg, (wu, wv) = base.algebra, base.terms
-    uv, vu = alg.mul_words(wu, wv), alg.mul_words(wv, wu)
-    if len(uv) != 1 or uv.keys() != vu.keys():  # also uv = 0 or vu = 0
-        return None
-    [alpha], [beta] = uv.values(), vu.values()
-    if not (alpha.is_constant() and beta.is_constant()):
-        return None
-    alpha, beta = alpha.constant_value(), beta.constant_value()
-    a, b = alpha, beta
-    for d in range(1, min(m, 2 * alg.order) + 1):
-        if a == b:
-            return d if d >= 2 else None
-        a, b = a * alpha, b * beta
-    return None
-
-
-def _power(base: AlgElement, m: int) -> AlgElement:
-    """base^m, each product bounded by MAX_MU_PAIRS.
-
-    For base = u + v with vu = λ·uv and λ of order d, 2 <= d <= m, the
-    q-binomial theorem gives (u+v)^d = u^d + v^d, since every middle
-    coefficient [d,k]_λ vanishes (Kassel, Quantum Groups, ch. IV), so
-    base^m = (u^d + v^d)^(m//d) · base^(m mod d), and the cancelling middle
-    terms of base^d are never formed.  u^d and v^d commute, so the outer
-    power takes repeated squaring; so does every other base.
-    """
-    d = _commutation_order(base, m)
-    one = base.algebra.one()
-    if d is None:
-        return power(base, m, one, _bounded_mul)
-    u, v = (AlgElement(base.algebra, {w: c}) for w, c in base.terms.items())
-    k, r = divmod(m, d)
-    value = _power(u, d) + _power(v, d)
-    if k > 1:
-        value = _power(value, k)
-    if r:  # r < d, so base^r takes repeated squaring
-        value = _bounded_mul(value, power(base, r, one, _bounded_mul))
-    return value
-
-
 def _evaluate(P: FreeComodulePoly, leaf_map, coeff_map=None):
     """P evaluated by the algebra map that sends each leaf element to leaf_map(leaf).
 
     Values may be elements of any algebra, each product, scalar multiple and
     power step of them bounded by MAX_MU_PAIRS, or free polynomials again,
     which keep their tree.  coeff_map, if given, rewrites the coefficient of
-    each scalar multiple.  An element's power is _power: a power of two
-    q-commuting terms by (u+v)^d = u^d + v^d, any other by repeated squaring.
+    each scalar multiple.  An element's power is AlgElement.power: a power of
+    two q-commuting terms by (u+v)^d = u^d + v^d, any other by repeated squaring.
     Nodes are memoised by identity, so a subtree the tree shares is computed
     once, and the walk keeps its own stack, so depth costs no recursion.
     """
@@ -290,7 +239,7 @@ def _evaluate(P: FreeComodulePoly, leaf_map, coeff_map=None):
         elif node.op == "scale":
             value = _bounded_mul(memo[id(first)], coeff_map(second) if coeff_map else second)
         elif isinstance(memo[id(first)], AlgElement):
-            value = _power(memo[id(first)], second)
+            value = memo[id(first)].power(second, _bounded_mul)
         else:
             value = memo[id(first)] ** second
         memo[id(node)] = value

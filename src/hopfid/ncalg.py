@@ -25,6 +25,7 @@ diamond lemma), ordered like the factors' words laid out block by block.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -41,8 +42,6 @@ __all__ = [
     "check_confluence",
     "CheckReport",
 ]
-
-Word = tuple  # generator indices; in a tensor product, one such tuple per factor
 
 MAX_BASIS_WORDS = 100000  # for basis(), and for the family sizes a spec may name
 
@@ -310,18 +309,6 @@ class PresentedAlgebra:
             for g, e in runs
         )
 
-    def split_word(self, word):
-        """The per-factor subwords of a tensor-product word: the word itself."""
-        if self.tensor_factors is None:
-            raise ValueError(f"{self.name} is not a tensor product")
-        return word
-
-    def join(self, *parts) -> Word:
-        """The tensor-product word of one subword per factor; inverts split_word."""
-        if self.tensor_factors is None or len(parts) != len(self.tensor_factors):
-            raise ValueError(f"{self.name} is not a tensor product of {len(parts)} factors")
-        return parts
-
     def __repr__(self):
         return f"PresentedAlgebra({self.name})"
 
@@ -433,7 +420,27 @@ class AlgElement:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        return power(self, k, self.algebra.one())
+        return self.power(k)
+
+    def power(self, m, mul=operator.mul) -> AlgElement:
+        """self^m, each product formed by mul, which may raise to refuse the power.
+
+        For self = u + v with vu = λ·uv and λ of order d, 2 <= d <= m, the
+        q-binomial theorem gives (u+v)^d = u^d + v^d, since every middle
+        coefficient [d,k]_λ vanishes (Kassel, Quantum Groups, ch. IV), so
+        self^m = (u^d + v^d)^(m//d) · self^(m mod d), and the cancelling middle
+        terms of self^d are never formed.  u^d and v^d commute, so the outer
+        power takes repeated squaring; so does every other base.
+        """
+        d = _commutation_order(self, m)
+        if d is None:
+            return power(self, m, self.algebra.one(), mul)
+        u, v = (_raw(self.algebra, {w: c}) for w, c in self.terms.items())
+        k, r = divmod(m, d)
+        value = (u.power(d, mul) + v.power(d, mul)).power(k, mul)
+        if r:  # r < d, so self^r takes repeated squaring
+            value = mul(value, power(self, r, self.algebra.one(), mul))
+        return value
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -489,6 +496,33 @@ class AlgElement:
         return f"AlgElement({self.algebra.name}: {self})"
 
 
+def _commutation_order(base: AlgElement, m: int):
+    """The order d of λ if base = u + v with vu = λ·uv and 2 <= d <= m, else None.
+
+    The coefficients of u and v commute with everything, so λ depends on
+    their words alone.  When the normal forms of w_u·w_v and w_v·w_u are α·w
+    and β·w for one word w and constants α, β, then λ = β/α, and d is the
+    least d >= 1 with β^d = α^d, which needs no inverse.  A root of unity in
+    Q(ζ_N) has an order dividing lcm(2, N), so no d past 2N is tried.
+    """
+    if len(base.terms) != 2 or m < 2:
+        return None
+    alg, (wu, wv) = base.algebra, base.terms
+    uv, vu = alg.mul_words(wu, wv), alg.mul_words(wv, wu)
+    if len(uv) != 1 or uv.keys() != vu.keys():  # also uv = 0 or vu = 0
+        return None
+    [alpha], [beta] = uv.values(), vu.values()
+    if not (alpha.is_constant() and beta.is_constant()):
+        return None
+    alpha, beta = alpha.constant_value(), beta.constant_value()
+    a, b = alpha, beta
+    for d in range(1, min(m, 2 * alg.order) + 1):
+        if a == b:
+            return d if d >= 2 else None
+        a, b = a * alpha, b * beta
+    return None
+
+
 class Morphism:
     """An algebra map, or antihomomorphism if anti, fixed on generators.
 
@@ -497,7 +531,8 @@ class Morphism:
     once.  word(w) multiplies generator images left to right (right to
     left when anti) and keeps the result for w alone; it starts from the
     image of w less its last letter (first when anti) if that word was
-    asked for before, as happens when callers walk a basis in order.
+    asked for before, as happens when callers walk a basis in order, and
+    from its first generator image otherwise, so it forms no product by one.
     Applied to an element, the map sums word(w) * c over its terms, so it
     caches the image of each word it meets: from H or A those words are
     normal, at most dim of them, and from T(X_H), the source of mu and of
@@ -523,9 +558,9 @@ class Morphism:
         hit = self._words.get(word)
         if hit is None:
             letters = word[::-1] if self.anti else word
-            base = self._words.get(word[1:] if self.anti else word[:-1])
-            hit = self.target.one() if base is None else base
-            for g in letters if base is None else letters[-1:]:
+            base = self._words.get(word[1:] if self.anti else word[:-1]) if len(word) > 1 else None
+            hit, rest = (self.generator(letters[0]), letters[1:]) if base is None else (base, letters[-1:])
+            for g in rest:
                 hit = hit * self.generator(g)
             self._words[word] = hit
         return hit
@@ -578,7 +613,7 @@ def embed(elem: AlgElement, product: PresentedAlgebra, factor: int) -> AlgElemen
     if factors is None or elem.algebra is not factors[factor]:
         raise ValueError("element is not from the requested tensor factor")
     before, after = ((),) * factor, ((),) * (len(factors) - factor - 1)
-    return AlgElement(product, {product.join(*before, w, *after): c for w, c in elem.terms.items()})
+    return AlgElement(product, {before + (w,) + after: c for w, c in elem.terms.items()})
 
 
 # -- check reports and confluence --------------------------------------------

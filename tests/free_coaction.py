@@ -17,9 +17,8 @@ def _t_coaction_image(T: PresentedAlgebra, TH: PresentedAlgebra, gid: int):
     H = T.free_hopf
     i, r = _gen_meta(T, gid)
     acc = {}
-    for w, c in H.coproduct_word(H.basis()[r]).terms.items():
-        u, v = H.square.split_word(w)
-        key = TH.join((_gen_id(T, i, H.basis_index(u)),), v)
+    for (u, v), c in H.coproduct_word(H.basis()[r]).terms.items():
+        key = ((_gen_id(T, i, H.basis_index(u)),), v)
         acc[key] = acc.get(key, CommPoly.zero(T.order)) + c
     return AlgElement(TH, acc)
 

@@ -567,6 +567,36 @@ def test_scalar_power_bound_exits_2(capsys, expression):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("digits", [1300, 5000])
+@pytest.mark.parametrize("template", ["{n}*x", "x^{n}"], ids=["atom", "exponent"])
+def test_long_integer_literal_exits_2(capsys, digits, template):
+    # 1300 digits are about 4318 bits; past 4300 digits, int() itself refuses
+    # the text on Python 3.11 and reads it on 3.10, so the digits are counted first
+    expression = template.format(n="7" * digits)
+    code, out, err = run(capsys, "normalform", "--algebra", "taft:3;a=1;c=0", "--", expression)
+    assert (code, out) == (2, "")
+    position = expression.index("7")
+    assert err.startswith(f"error: integer literal exceeds {MAX_SCALAR_BITS} bits "
+                          f"(at position {position})\n")
+    assert "Traceback" not in err
+
+
+def test_literal_of_the_bound_is_read(capsys):
+    # 2^4096 - 1 has 1234 digits and 4096 bits; leading zeros are no bits
+    code, out, _ = run(capsys, "normalform", "--algebra", "taft:3;a=1;c=0",
+                       f"({'0' * 2000}{(1 << MAX_SCALAR_BITS) - 1} - {1 << MAX_SCALAR_BITS - 1})*x")
+    assert code == 0
+    assert out == f"normal form in taft:3;a=1;c=0: {(1 << MAX_SCALAR_BITS - 1) - 1}*x\n"
+
+
+def test_power_of_two_q_commuting_generators(capsys):
+    # (x+y)^200 = x^200 + y^200 = 1 in taft:200; repeated squaring took about 20 s
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "normalform", "--algebra", "taft:200", "(x+y)^200")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (0, "normal form in taft:200: 1\n")
+
+
 def test_root_of_unity_powers_are_not_bounded(capsys):
     code, out, _ = run(capsys, "mu", "--object", "taft:3;a=1;c=0", "q^1000000000*X")
     assert code == 0

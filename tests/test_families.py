@@ -116,10 +116,10 @@ def ref_object(spec):
     alg = PresentedAlgebra("ref", names, order, rules)
     H = spec.hopf()
     tensor = tensor_product(alg, H.algebra)
-    one, join = CommPoly.one(order), tensor.join
-    co = [tensor.element({join((0,), (0,)): one})]
+    one = CommPoly.one(order)
+    co = [tensor.element({((0,), (0,)): one})]
     for i in range(1, len(names)):
-        co.append(tensor.element({join((), (i,)): one, join((i,), (0,)): one}))
+        co.append(tensor.element({((), (i,)): one, ((i,), (0,)): one}))
     return alg.generators, rules, co
 
 

@@ -54,7 +54,7 @@ def coinvariants_by_elimination(A) -> list:
         for tw, c in A.coaction_word(w).terms.items():
             rows.setdefault(tw, {})[j] = c.constant_value()
         # less w ⊗ 1, w being normal; kernel_basis drops an entry that cancels
-        row = rows.setdefault(A.tensor.join(w, ()), {})
+        row = rows.setdefault((w, ()), {})
         row[j] = row.get(j, zero) - one
     return [AlgElement(A.algebra, {basis[j]: CommPoly.constant(v) for j, v in enumerate(vec)})
             for vec in kernel_basis(list(rows.values()), len(basis), order)]

@@ -67,9 +67,9 @@ def test_taft3_coproduct_of_y_squared():
     sq = H.square
     one_plus_q = CommPoly.constant(CyclotomicNumber.one(3) + q)
     expected = (
-        sq.element({sq.join((), (1, 1)): 1})
-        + sq.element({sq.join((1,), (0, 1)): 1}) * one_plus_q
-        + sq.element({sq.join((1, 1), (0, 0)): 1})
+        sq.element({((), (1, 1)): 1})
+        + sq.element({((1,), (0, 1)): 1}) * one_plus_q
+        + sq.element({((1, 1), (0, 0)): 1})
     )
     assert got == expected
     assert str(got) == "1⊗y^2 + (1 + z)*y⊗x*y + y^2⊗x^2"
@@ -88,7 +88,7 @@ def test_closed_qbinomial_coproduct_formula():
                     left = (0,) * i + (1,) * k
                     right = (0,) * ((i + k) % n) + (1,) * (j - k)
                     expected = expected + H.square.element(
-                        {H.square.join(left, right): CommPoly.constant(qbinom(j, k, q))}
+                        {(left, right): CommPoly.constant(qbinom(j, k, q))}
                     )
                 assert got == expected
 
