@@ -182,18 +182,11 @@ class CommPoly:
         return cls(order, {((var, exp),): CyclotomicNumber.one(order)})
 
     def _coerce(self, other):
-        if isinstance(other, CommPoly):
+        """other as a CommPoly of this order, or None for a type it cannot read."""
+        if isinstance(other, (CommPoly, CyclotomicNumber)):
             if other.order != self.order:
-                raise ValueError(
-                    f"mixed cyclotomic orders {self.order} and {other.order}"
-                )
-            return other
-        if isinstance(other, CyclotomicNumber):
-            if other.order != self.order:
-                raise ValueError(
-                    f"mixed cyclotomic orders {self.order} and {other.order}"
-                )
-            return CommPoly.constant(other)
+                raise ValueError(f"cyclotomic order {other.order}, need {self.order}")
+            return other if isinstance(other, CommPoly) else CommPoly.constant(other)
         if isinstance(other, (int, Fraction)):
             return CommPoly.scalar(self.order, other)
         return None

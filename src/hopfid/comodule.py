@@ -3,9 +3,10 @@
 A GaloisObjectSpec records the family, the size n, and the structure
 parameters, each either an exact cyclotomic number or symbolic (optionally
 primed, so two symbolic objects can coexist in one computation);
-object_spec is the one place that knows each family's keys.  The Taft
-family object has relations x^n = a, yx = q xy, y^n = c; the E(n) family
-object has u^2 = a, ui^2 = ci, ui u = -u ui, ui uj + uj ui = dij.  Both are
+object_spec is the one place that knows and reads each family's keys, for
+the library and the spec parser alike.  The Taft family object has
+relations x^n = a, yx = q xy, y^n = c; the E(n) family object has
+u^2 = a, ui^2 = ci, ui u = -u ui, ui uj + uj ui = dij.  Both are
 hopf.family_relations at the spec's parameters (param_var names the
 parameter of each spec key), and the coaction is the Morphism of
 hopf.coaction_images, the coproduct's formulas; H itself is the object at
@@ -30,7 +31,6 @@ proof, and raises its ValueError; it needs every parameter numeric.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .commpoly import CommPoly, ParamVar
@@ -112,24 +112,34 @@ class GaloisObjectSpec(namedtuple("GaloisObjectSpec", "family n values")):
 def _coerce_value(order, v):
     if isinstance(v, Symbolic):
         return v
-    if isinstance(v, CyclotomicNumber):
-        if v.order != order:
-            raise ValueError(f"parameter has cyclotomic order {v.order}, need {order}")
-        return v
-    if isinstance(v, (int, Fraction)):
-        return CyclotomicNumber.from_rational(order, v)
-    raise ValueError(f"cannot use {v!r} as a parameter value")
+    value = CyclotomicNumber.one(order)._coerce(v)
+    if value is None:
+        raise ValueError(f"cannot use {v!r} as a parameter value")
+    return value
+
+
+def _canonical_key(key):
+    """The key with its index digits read as numbers and d<ij> read as
+    d<i>,<j>: c01 is c1, and d12 and d01,2 are d1,2."""
+    tag, body = key[:1], key[1:]
+    if tag == "d" and len(body) == 2 and body.isdecimal():
+        body = ",".join(body)
+    indices = body.split(",")
+    if all(i.isdecimal() for i in indices):
+        return tag + ",".join(str(int(i)) for i in indices)
+    return key
 
 
 def object_spec(family, n, values=None) -> GaloisObjectSpec:
     """The spec of the object of family:n whose parameters take values.
 
-    values maps keys to a Symbolic, an int, a Fraction or a cyclotomic
-    number of the family's order; an unlisted key stays symbolic.  The keys
-    are a and c for taft, and a, c1..cn and d<i>,<j> with i < j for en: the
-    relation ui uj + uj ui = dij at i = j reads 2 ui^2 = d_ii, so d_ii = 2 ci
-    is derived and no key.  Any other key, and a = 0, is refused with a
-    ValueError.
+    values is a dict or (key, value) pairs; each value is a Symbolic, an
+    int, a Fraction or a cyclotomic number of the family's order, and an
+    unlisted key stays symbolic.  The keys are a and c for taft, and a,
+    c1..cn and d<i>,<j> with i < j for en: the relation ui uj + uj ui = dij
+    at i = j reads 2 ui^2 = d_ii, so d_ii = 2 ci is derived and no key.  A
+    key is read in its canonical form (_canonical_key), so d12 is d1,2.  A
+    key given twice, any other key, and a = 0 are refused with a ValueError.
     """
     order = family_hopf(family, n).algebra.order
     if family == "taft":
@@ -137,7 +147,13 @@ def object_spec(family, n, values=None) -> GaloisObjectSpec:
     else:
         keys = ["a"] + [f"c{i}" for i in range(1, n + 1)]
         keys += [f"d{i},{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    values = dict(values or {})
+    given = values.items() if isinstance(values, dict) else values or ()
+    values = {}
+    for key, value in given:
+        key = _canonical_key(key)
+        if key in values:
+            raise ValueError(f"duplicate parameter {key!r}")
+        values[key] = value
     unknown = [k for k in values if k not in keys]
     if unknown and family == "taft":
         raise ValueError(f"unknown Taft parameters: {', '.join(sorted(unknown))}; use a, c")

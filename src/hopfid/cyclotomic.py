@@ -219,11 +219,10 @@ class CyclotomicNumber:
         return cls.from_poly(order, (0, 1))
 
     def _coerce(self, other):
+        """other as a number of this order, or None for a type it cannot read."""
         if isinstance(other, CyclotomicNumber):
             if other.order != self.order:
-                raise ValueError(
-                    f"mixed cyclotomic orders {self.order} and {other.order}"
-                )
+                raise ValueError(f"cyclotomic order {other.order}, need {self.order}")
             return other
         if isinstance(other, (int, Fraction)):
             return CyclotomicNumber.from_rational(self.order, other)

@@ -25,7 +25,7 @@ from .comodule import Symbolic, object_spec
 from .cyclotomic import CyclotomicNumber, power, primitive_root
 from .hopf import HopfPresentation, family_hopf
 from .identities import FreeComodulePoly, t_var, x_symbol
-from .ncalg import MAX_BASIS_WORDS, AlgElement, PresentedAlgebra
+from .ncalg import AlgElement, PresentedAlgebra
 
 __all__ = [
     "ParseError",
@@ -95,9 +95,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdecimal():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdecimal():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(("INT", text[i:j], i))
             i = j
@@ -160,8 +160,9 @@ class _Parser:
         raise ParseError(message, tok[2], self.text)
 
     def integer(self, tok):
-        """The value of an INT token, refused past MAX_SCALAR_BITS bits; its
-        digits are counted first, since int() refuses 4300 on some versions."""
+        """The value of an INT token, refused past MAX_SCALAR_BITS bits.  Its
+        ASCII digits are counted first, leading zeros stripped, since int()
+        refuses 4300 digits on some versions."""
         digits = tok[1].lstrip("0") or "0"
         if len(digits) > _MAX_LITERAL_DIGITS or (value := int(digits)).bit_length() > MAX_SCALAR_BITS:
             self.fail(f"integer literal exceeds {MAX_SCALAR_BITS} bits", tok)
@@ -505,11 +506,11 @@ class MatrixSpec(namedtuple("MatrixSpec", "k")):
 
 
 def _family_head(head, shown, matrix=False):
-    """Parse and bound-check the 'family:n' head of a spec.
+    """The Hopf algebra the 'family:n' head of a spec names.
 
-    A malformed size is reported with shown quoted.  matrix:<k> passes
-    through unchecked when matrix is set; a taft or en size whose basis
-    would blow the normal-word enumeration cap is rejected.
+    A malformed size is reported with shown quoted, and family_hopf's
+    refusals of a size as ParseErrors.  matrix:<k> gives MatrixSpec(k),
+    unchecked, when matrix is set.
     """
     family, _, num = head.partition(":")
     family = family.strip().lower()
@@ -518,20 +519,14 @@ def _family_head(head, shown, matrix=False):
     except ValueError:
         raise ParseError(f"missing or malformed size in {shown!r}") from None
     if matrix and family == "matrix":
-        return family, n
+        return MatrixSpec(n)
     if family not in ("taft", "en"):
         use = "taft:<n>, en:<n>, or matrix:<k>" if matrix else "taft:<n> or en:<n>"
         raise ParseError(f"unknown family {family!r}; use {use}")
-    if family == "taft" and n < 2:
-        raise ParseError("the Taft family needs n >= 2")
-    if family == "en" and n < 1:
-        raise ParseError("the E(n) family needs n >= 1")
-    dim = n * n if family == "taft" else 2 ** (n + 1)
-    if dim > MAX_BASIS_WORDS:
-        raise ParseError(
-            f"{family}:{n} has dimension {dim}, past the {MAX_BASIS_WORDS}-word bound"
-        )
-    return family, n
+    try:
+        return family_hopf(family, n)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_hopf_spec(text) -> HopfPresentation:
@@ -541,7 +536,7 @@ def parse_hopf_spec(text) -> HopfPresentation:
         raise ParseError(
             f"expected a plain family spec like taft:3, found parameters in {text!r}"
         )
-    return family_hopf(*_family_head(head, text))
+    return _family_head(head, text)
 
 
 def _parse_value(text, order, key):
@@ -561,46 +556,29 @@ def _parse_value(text, order, key):
     return val.constant_value()
 
 
-def _canonical_key(key):
-    """The key with its index digits read as numbers and d<ij> read as
-    d<i>,<j>: c01 is c1, and d12 and d01,2 are d1,2."""
-    tag, body = key[:1], key[1:]
-    if tag == "d" and len(body) == 2 and body.isdecimal():
-        body = ",".join(body)
-    indices = body.split(",")
-    if all(i.isdecimal() for i in indices):
-        return tag + ",".join(str(int(i)) for i in indices)
-    return key
-
-
 def parse_object_spec(text):
     """Parse an object spec such as 'taft:3;a=1;c=sym' or 'matrix:2'.
 
-    Each part after the head is key=value, and comodule.object_spec judges
-    the keys; unlisted parameters stay symbolic.  A key is read in its
-    canonical form (_canonical_key) before a repeated key is refused.
+    Each part after the head is key=value; comodule.object_spec reads and
+    judges the keys, in order, and leaves unlisted parameters symbolic.
     """
     parts = [p.strip() for p in text.strip().split(";") if p.strip()]
     if not parts:
         raise ParseError("empty object spec")
-    family, n = _family_head(parts[0], parts[0], matrix=True)
-    if family == "matrix":
+    head = _family_head(parts[0], parts[0], matrix=True)
+    if isinstance(head, MatrixSpec):
         if parts[1:]:
             raise ParseError("matrix specs take no parameters")
-        if n < 1:
+        if head.k < 1:
             raise ParseError("matrix size must be >= 1")
-        return MatrixSpec(n)
-    order = family_hopf(family, n).algebra.order
-    values = {}
+        return head
+    values = []
     for part in parts[1:]:
         raw, eq, value = part.partition("=")
         if not eq:
             raise ParseError(f"expected key=value, found {part!r}")
-        key = _canonical_key(raw.strip())
-        if key in values:
-            raise ParseError(f"duplicate parameter {key!r}")
-        values[key] = _parse_value(value, order, raw.strip())
+        values.append((raw.strip(), _parse_value(value, head.algebra.order, raw.strip())))
     try:
-        return object_spec(family, n, values)
+        return object_spec(head.family, head.n, values)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -20,6 +20,7 @@ from functools import lru_cache
 from .commpoly import CommPoly
 from .cyclotomic import CyclotomicNumber, primitive_root
 from .ncalg import (
+    MAX_BASIS_WORDS,
     AlgElement,
     CheckReport,
     Morphism,
@@ -170,7 +171,7 @@ def taft(n: int) -> HopfPresentation:
     y^n = 0, where q is the canonical primitive n-th root of unity.
     """
     if n < 2:
-        raise ValueError("the Taft family starts at n = 2")
+        raise ValueError("the Taft family needs n >= 2")
     return _build_family("taft", n, n, ("x", "y"))
 
 
@@ -182,15 +183,26 @@ def en(n: int) -> HopfPresentation:
     yi yj = -yj yi; each yi is skew primitive over the grouplike x.
     """
     if n < 1:
-        raise ValueError("the E(n) family starts at n = 1")
+        raise ValueError("the E(n) family needs n >= 1")
     return _build_family("en", n, 2, ("x",) + tuple(f"y{i}" for i in range(1, n + 1)))
 
 
 def family_hopf(family, n) -> HopfPresentation:
-    """The Hopf algebra of a family by its name: taft(n) or en(n)."""
+    """The Hopf algebra of a family by its name: taft(n) or en(n).
+
+    A size whose basis would pass MAX_BASIS_WORDS words is refused with a
+    ValueError, judged from n alone.  The dimension is written out up to
+    2^64 and as a power past it, so a large n forms no large number.
+    """
     if family not in ("taft", "en"):
         raise ValueError(f"unknown family {family!r}")
-    return taft(n) if family == "taft" else en(n)
+    if family == "taft" and n > 1 and n * n > MAX_BASIS_WORDS:  # taft(n) refuses n < 2
+        dim = n * n if n < 1 << 32 else f"{n}^2"
+    elif family == "en" and n + 1 >= MAX_BASIS_WORDS.bit_length():  # 2^(n+1) > MAX_BASIS_WORDS
+        dim = 2 ** (n + 1) if n < 64 else f"2^{n + 1}"
+    else:
+        return taft(n) if family == "taft" else en(n)
+    raise ValueError(f"{family}:{n} has dimension {dim}, past the {MAX_BASIS_WORDS}-word bound")
 
 
 @lru_cache(maxsize=None)

@@ -27,11 +27,10 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .commpoly import CommPoly
-from .cyclotomic import CyclotomicNumber, join_signed, power
+from .cyclotomic import join_signed, power
 
 __all__ = [
     "RewriteRule",
@@ -100,15 +99,12 @@ class PresentedAlgebra:
             raise ValueError(f"{self.name} has no generator {name!r}") from None
 
     def coerce_poly(self, value) -> CommPoly:
-        if isinstance(value, CommPoly):
-            if value.order != self.order:
-                raise ValueError("coefficient has the wrong cyclotomic order")
-            return value
-        if isinstance(value, CyclotomicNumber):
-            return CommPoly.constant(value)
-        if isinstance(value, (int, Fraction)):
-            return CommPoly.scalar(self.order, value)
-        raise ValueError(f"cannot use {value!r} as a coefficient")
+        """value as a coefficient: CommPoly's coercion, which refuses another
+        cyclotomic order; a type it cannot read is refused here."""
+        poly = self._one_poly._coerce(value)
+        if poly is None:
+            raise ValueError(f"cannot use {value!r} as a coefficient")
+        return poly
 
     def zero(self) -> AlgElement:
         return AlgElement(self, {})
@@ -362,9 +358,8 @@ class AlgElement:
             one = self.algebra._one_poly
             _add_scaled(out, other.terms, one, one)
             return _raw(self.algebra, out)
-        try:
-            poly = self.algebra.coerce_poly(other)
-        except ValueError:
+        poly = self.algebra._one_poly._coerce(other)
+        if poly is None:
             return NotImplemented
         return self + self.algebra.one() * poly
 
@@ -377,9 +372,8 @@ class AlgElement:
         if isinstance(other, AlgElement):
             self._check(other)
             return self + (-other)
-        try:
-            poly = self.algebra.coerce_poly(other)
-        except ValueError:
+        poly = self.algebra._one_poly._coerce(other)
+        if poly is None:
             return NotImplemented
         return self - self.algebra.one() * poly
 
@@ -399,9 +393,8 @@ class AlgElement:
                     # a normal word is its own normal form, with the coefficient _one_poly itself
                     _add_scaled(acc, mul_words(w1, w2), c, one)
             return _raw(alg, acc)
-        try:
-            poly = alg.coerce_poly(other)
-        except ValueError:
+        poly = alg._one_poly._coerce(other)
+        if poly is None:
             return NotImplemented
         if not poly.terms:
             return alg.zero()
@@ -411,9 +404,8 @@ class AlgElement:
 
     def __rmul__(self, other):
         # scalars commute with everything here
-        try:
-            poly = self.algebra.coerce_poly(other)
-        except ValueError:
+        poly = self.algebra._one_poly._coerce(other)
+        if poly is None:
             return NotImplemented
         return self * poly
 
@@ -462,13 +454,10 @@ class AlgElement:
     def __eq__(self, other):
         if isinstance(other, AlgElement):
             return self.algebra is other.algebra and self.terms == other.terms
-        if isinstance(other, (int, Fraction, CyclotomicNumber, CommPoly)):
-            try:
-                poly = self.algebra.coerce_poly(other)
-            except ValueError:
-                return NotImplemented
-            return self.terms == (self.algebra.one() * poly).terms
-        return NotImplemented
+        poly = self.algebra._one_poly._coerce(other)
+        if poly is None:
+            return NotImplemented
+        return self.terms == (self.algebra.one() * poly).terms
 
     def __str__(self):
         rendered = []
@@ -578,11 +567,10 @@ class Morphism:
     def __call__(self, elem: AlgElement) -> AlgElement:
         if elem.algebra is not self.source:
             raise ValueError(f"element does not belong to {self.source.name}")
-        acc = {}
+        acc, one = {}, self.target._one_poly
         for w, c in elem.terms.items():
-            for tw, tc in self.word(w).terms.items():
-                acc[tw] = acc[tw] + tc * c if tw in acc else tc * c
-        return AlgElement(self.target, acc)
+            _add_scaled(acc, self.word(w).terms, c, one)
+        return _raw(self.target, acc)
 
 
 # -- tensor products ----------------------------------------------------------

@@ -589,6 +589,26 @@ def test_literal_of_the_bound_is_read(capsys):
     assert out == f"normal form in taft:3;a=1;c=0: {(1 << MAX_SCALAR_BITS - 1) - 1}*x\n"
 
 
+@pytest.mark.parametrize("expression", ["٧*x", "٠" * 2000 + "7*x"], ids=["digit", "zeros"])
+def test_unicode_digits_are_no_literal(capsys, expression):
+    # literals are ASCII 0-9, the digits int() reads after the zeros are stripped
+    code, out, err = run(capsys, "normalform", "--algebra", "taft:3", expression)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unexpected character {expression[0]!r} (at position 0)\n")
+    code, out, _ = run(capsys, "normalform", "--algebra", "taft:3", "007*x")
+    assert (code, out) == (0, "normal form in taft:3: 7*x\n")
+
+
+@pytest.mark.parametrize("algebra", ["en:1000000000", "en:1000000000;a=1"])
+def test_family_size_past_the_bound_exits_2_at_once(capsys, algebra):
+    # 2^(n+1) is not formed: forming and printing it took seconds and hundreds of MB
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normalform", "--algebra", algebra, "x")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: en:1000000000 has dimension 2^1000000001, past the 100000-word bound\n"
+
+
 def test_power_of_two_q_commuting_generators(capsys):
     # (x+y)^200 = x^200 + y^200 = 1 in taft:200; repeated squaring took about 20 s
     start = time.perf_counter()

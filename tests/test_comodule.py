@@ -421,6 +421,18 @@ def test_spec_builder_is_behind_both_family_functions():
         object_spec("en", 1, {"c1": CyclotomicNumber.zeta(3)})
 
 
+def test_object_spec_reads_keys_as_the_parser_does():
+    # one key reader: index digits as numbers, d<ij> as d<i>,<j>, pairs in order
+    assert object_spec("en", 2, {"c01": 1, "d12": 0}) == parse_object_spec("en:2;c01=1;d12=0")
+    assert object_spec("en", 2, [("d01,2", 5), ("a", 2)]) == en_object_spec(2, a=2, d={(1, 2): 5})
+    with pytest.raises(ValueError, match="^duplicate parameter 'c1'$"):
+        object_spec("en", 2, {"c1": 1, "c01": 2})
+    with pytest.raises(ValueError, match="^duplicate parameter 'd1,2'$"):
+        object_spec("en", 2, [("d12", 1), ("d1,2", 0)])
+    with pytest.raises(ValueError, match="^c index out of range in 'c3'$"):
+        object_spec("en", 2, {"c03": 1})
+
+
 def test_symbolic_keys_and_priming_apart():
     first = en_object_spec(2, a=1, c=[Symbolic(), 0], d={(1, 2): Symbolic(1)})
     assert first.symbolic_keys() == ["c1", "d1,2"]

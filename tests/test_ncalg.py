@@ -231,6 +231,20 @@ def test_normal_form_cache_consistency():
     assert first.is_zero()
 
 
+def test_coefficient_of_another_order_is_refused():
+    # element() and the operators coerce as CommPoly does: a wrong order raises,
+    # and only a type no coercion reads is left to the other operand
+    alg = taft(3).algebra
+    with pytest.raises(ValueError, match="cyclotomic order 4, need 3"):
+        alg.element({(0,): CyclotomicNumber.zeta(4)})
+    with pytest.raises(ValueError, match="cyclotomic order 2, need 3"):
+        alg.gen("x") + CommPoly.one(2)
+    with pytest.raises(ValueError, match="cannot use 'x' as a coefficient"):
+        alg.coerce_poly("x")
+    with pytest.raises(TypeError):
+        alg.gen("x") * "x"
+
+
 def test_mixed_order_rejected():
     alg2 = sweedler_like()
     alg3 = PresentedAlgebra("other", ("x", "y"), 3, ())

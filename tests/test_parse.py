@@ -20,7 +20,7 @@ from hopfid.exprparse import (
     parse_hopf_spec,
     parse_object_spec,
 )
-from hopfid.hopf import en, taft
+from hopfid.hopf import en, family_hopf, taft
 from hopfid.identities import FreeComodulePoly, catalog, mu, taft_identity, x_symbol
 
 
@@ -287,6 +287,8 @@ def test_parse_errors_carry_position():
     # a digit int() cannot read is no INT token
     with pytest.raises(ParseError, match=r"unexpected character '²' \(at position 1\)\n  2²\n   \^$"):
         parse_expression("2²", alg)
+    with pytest.raises(ParseError, match=r"unexpected character '٧' \(at position 0\)"):
+        parse_expression("٧*x", alg)
     with pytest.raises(ParseError, match="unknown symbol 'c²'"):
         parse_expression("c² * X[1,x]", taft(2))
     with pytest.raises(ParseError, match="after expression"):
@@ -372,6 +374,19 @@ def test_family_size_past_the_basis_bound():
         parse_hopf_spec("taft:317")
     with pytest.raises(ParseError, match="^en:16 has dimension 131072, past the 100000-word bound$"):
         parse_object_spec("en:16;a=1")
+    # the library refuses the same sizes with the same text
+    with pytest.raises(ValueError, match="^taft:317 has dimension 100489, past the 100000-word bound$"):
+        family_hopf("taft", 317)
+    with pytest.raises(ValueError, match="^en:16 has dimension 131072, past the 100000-word bound$"):
+        family_hopf("en", 16)
+    # a large n is judged without forming 2^(n+1)
+    with pytest.raises(ValueError, match=r"^en:1000000000 has dimension 2\^1000000001, past the 100000-word bound$"):
+        object_spec("en", 10**9)
+    # a dimension past 2^64 is written as a power: Python prints no int past 4300 digits
+    with pytest.raises(ParseError, match=r"^taft:9{2500} has dimension 9{2500}\^2, past the 100000-word bound$"):
+        parse_hopf_spec("taft:" + "9" * 2500)
+    with pytest.raises(ValueError, match="^the Taft family needs n >= 2$"):
+        family_hopf("taft", -400)
 
 
 def test_parse_object_spec_taft():
