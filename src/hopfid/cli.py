@@ -22,7 +22,7 @@ import json
 import sys
 import time
 
-from .comodule import check_comodule, galois_map_bijective, galois_object
+from .comodule import check_comodule, galois_map_bijective, galois_object, read_int
 from .cyclotomic import join_signed
 from .exprparse import (
     MatrixSpec,
@@ -67,12 +67,10 @@ def _galois_spec(text):
 def _cmd_normalform(args, timings):
     if ";" in args.algebra:
         spec = _galois_spec(args.algebra)
-        alg = galois_object(spec).algebra
-        shown = spec.render()
+        alg, shown = galois_object(spec).algebra, spec.render()
     else:
         hopf = parse_hopf_spec(args.algebra)
-        alg = hopf.algebra
-        shown = args.algebra.strip()
+        alg, shown = hopf.algebra, hopf.name
     start = time.perf_counter()
     elem = parse_expression(args.expression, alg, args.max_degree)
     timings["normalform"] = time.perf_counter() - start
@@ -160,10 +158,8 @@ def _cmd_verify(args, timings):
                 "use --object matrix:<k>"
             )
         text = name[len("standard:"):]
-        try:
-            m = int(text)
-        except ValueError:
-            raise _Usage(f"standard:<m> needs an integer m; found {text!r}") from None
+        if (m := read_int(text)) is None:
+            raise _Usage(f"standard:<m> needs an integer m; found {text!r}")
         start = time.perf_counter()
         found = matrix_identity_witness(m, spec.k)
         witness = found and _matrix_witness(m, *found)

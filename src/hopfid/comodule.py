@@ -46,6 +46,8 @@ __all__ = [
     "taft_object_spec",
     "en_object_spec",
     "param_var",
+    "read_int",
+    "read_param_name",
     "ComoduleAlgebra",
     "galois_object",
     "coaction",
@@ -118,16 +120,33 @@ def _coerce_value(order, v):
     return value
 
 
-def _canonical_key(key):
-    """The key with its index digits read as numbers and d<ij> read as
-    d<i>,<j>: c01 is c1, and d12 and d01,2 are d1,2."""
-    tag, body = key[:1], key[1:]
-    if tag == "d" and len(body) == 2 and body.isdecimal():
+def read_int(text):
+    """The integer text spells, or None: an optional leading '-' and then the
+    ASCII digits 0-9, with whitespace around them stripped.  Leading zeros
+    are dropped, and more than 4300 digits, Python's default bound for int()
+    on text, are refused before int() runs, so every Python reads alike."""
+    body = text.strip()
+    sign, digits = (-1, body[1:]) if body.startswith("-") else (1, body)
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    digits = digits.lstrip("0") or "0"
+    return sign * int(digits) if len(digits) <= 4300 else None
+
+
+def read_param_name(name):
+    """The (tag, indices) a parameter name spells, or None: a bare a, c or d
+    has no indices, c<i> one, and d<i>,<j> and d<ij> two, each index ASCII
+    digits read by read_int, so c01 is c1 and d12 is d1,2."""
+    tag, body = name[:1], name[1:]
+    if tag in ("a", "c", "d") and not body:
+        return tag, ()
+    if tag == "d" and len(body) == 2:
         body = ",".join(body)
-    indices = body.split(",")
-    if all(i.isdecimal() for i in indices):
-        return tag + ",".join(str(int(i)) for i in indices)
-    return key
+    parts = body.split(",")
+    if (tag, len(parts)) not in (("c", 1), ("d", 2)):
+        return None
+    indices = tuple(read_int(p) if p.isascii() and p.isdigit() else None for p in parts)
+    return None if None in indices else (tag, indices)
 
 
 def object_spec(family, n, values=None) -> GaloisObjectSpec:
@@ -138,7 +157,7 @@ def object_spec(family, n, values=None) -> GaloisObjectSpec:
     unlisted key stays symbolic.  The keys are a and c for taft, and a,
     c1..cn and d<i>,<j> with i < j for en: the relation ui uj + uj ui = dij
     at i = j reads 2 ui^2 = d_ii, so d_ii = 2 ci is derived and no key.  A
-    key is read in its canonical form (_canonical_key), so d12 is d1,2.  A
+    key is read in its canonical form (read_param_name), so d12 is d1,2.  A
     key given twice, any other key, and a = 0 are refused with a ValueError.
     """
     order = family_hopf(family, n).algebra.order
@@ -150,7 +169,8 @@ def object_spec(family, n, values=None) -> GaloisObjectSpec:
     given = values.items() if isinstance(values, dict) else values or ()
     values = {}
     for key, value in given:
-        key = _canonical_key(key)
+        tag, indices = read_param_name(key) or (key, ())
+        key = tag + ",".join(map(str, indices))
         if key in values:
             raise ValueError(f"duplicate parameter {key!r}")
         values[key] = value
@@ -158,10 +178,11 @@ def object_spec(family, n, values=None) -> GaloisObjectSpec:
     if unknown and family == "taft":
         raise ValueError(f"unknown Taft parameters: {', '.join(sorted(unknown))}; use a, c")
     if unknown:
-        key, indices = unknown[0], unknown[0][1:].split(",")
-        if key[:1] == "c" and key[1:].isdecimal():
+        key = unknown[0]
+        tag, indices = read_param_name(key) or (key, ())
+        if tag == "c" and indices:
             raise ValueError(f"c index out of range in {key!r}")
-        if key[:1] == "d" and len(indices) == 2 and all(i.isdecimal() for i in indices):
+        if tag == "d" and indices:
             raise ValueError(f"d indices must satisfy 1 <= i < j <= {n}; "
                              f"d[{key[1:]}] is derived or out of range")
         raise ValueError(f"unknown E(n) parameter {key!r}; use a, c1..c{n}, d<i>,<j>")
@@ -186,8 +207,8 @@ def en_object_spec(n, a=Symbolic(), c=None, d=None) -> GaloisObjectSpec:
 
 def param_var(key, prime=0) -> ParamVar:
     """The structure parameter a spec key names: a, c, c<i> or d<i>,<j>."""
-    indices = tuple(int(i) for i in key[1:].split(",")) if key[1:] else ()
-    return ParamVar(key[0], indices, prime)
+    tag, indices = read_param_name(key) or (key, ())
+    return ParamVar(tag, indices, prime)
 
 
 class ComoduleAlgebra:

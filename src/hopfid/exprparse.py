@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .commpoly import CommPoly, ParamVar
-from .comodule import Symbolic, object_spec
+from .comodule import Symbolic, object_spec, read_int, read_param_name
 from .cyclotomic import CyclotomicNumber, power, primitive_root
 from .hopf import HopfPresentation, family_hopf
 from .identities import FreeComodulePoly, t_var, x_symbol
@@ -84,7 +84,6 @@ DEFAULT_FREE_DEGREE = 256
 # MAX_SCALAR_BITS bits, or with more than MAX_SCALAR_TERMS monomials
 MAX_SCALAR_BITS = 4096
 MAX_SCALAR_TERMS = 256
-_MAX_LITERAL_DIGITS = len(str(1 << MAX_SCALAR_BITS))  # a literal with more has more bits
 
 
 def _tokenize(text):
@@ -160,11 +159,10 @@ class _Parser:
         raise ParseError(message, tok[2], self.text)
 
     def integer(self, tok):
-        """The value of an INT token, refused past MAX_SCALAR_BITS bits.  Its
-        ASCII digits are counted first, leading zeros stripped, since int()
-        refuses 4300 digits on some versions."""
-        digits = tok[1].lstrip("0") or "0"
-        if len(digits) > _MAX_LITERAL_DIGITS or (value := int(digits)).bit_length() > MAX_SCALAR_BITS:
+        """The value of an INT token by read_int, refused past MAX_SCALAR_BITS
+        bits; read_int refuses one of too many digits before int() runs."""
+        value = read_int(tok[1])
+        if value is None or value.bit_length() > MAX_SCALAR_BITS:
             self.fail(f"integer literal exceeds {MAX_SCALAR_BITS} bits", tok)
         return value
 
@@ -350,9 +348,10 @@ class _Parser:
                     tok,
                 )
             copy, h = self.bracket_pair(tok)
-            if len(h.terms) != 1 or next(iter(h.terms.values())) != 1:
-                self.fail("t[i,h] needs a single basis word with coefficient 1", tok)
-            return t_var(self.ctx.hopf, copy, h)
+            try:
+                return t_var(self.ctx.hopf, copy, h)
+            except ValueError as exc:
+                self.fail(str(exc), tok)
         if self.ctx.mode == "free":
             val = self.free_name(tok)
             if val is not None:
@@ -395,9 +394,9 @@ class _Parser:
                     "this family indexes its nilpotent generators; use Y1, Y2, ..",
                     tok,
                 )
-        if name.startswith("Y") and name[1:].isdigit():
+        if name.startswith("Y") and (i := read_int(name[1:])) is not None:
             try:
-                return x_symbol(1, alg.gen("y" + name[1:]))
+                return x_symbol(1, alg.gen(f"y{i}"))
             except ValueError:
                 self.fail(f"no generator y{name[1:]} in {hopf.name}", tok)
         return None
@@ -426,28 +425,16 @@ class _Parser:
             self.ctx = outer
 
     def param_name(self, tok):
-        name = tok[1]
-        tag = name[0]
-        if tag not in ("a", "c", "d"):
+        read = read_param_name(tok[1])
+        if read is None:
             return None
-        rest = name[1:]
-        indices = ()
-        if rest:
-            if tag == "c" and rest.isdecimal():
-                indices = (int(rest),)
-            elif tag == "d" and rest.isdecimal() and len(rest) == 2:
-                indices = (int(rest[0]), int(rest[1]))
-            else:
-                return None
-        elif self.peek()[0] == "[":
+        tag, indices = read
+        if not indices and self.peek()[0] == "[":
             self.next()
-            first = self.integer(self.expect("INT"))
+            indices = (self.integer(self.expect("INT")),)
             if self.peek()[0] == ",":
                 self.next()
-                second = self.integer(self.expect("INT"))
-                indices = (first, second)
-            else:
-                indices = (first,)
+                indices += (self.integer(self.expect("INT")),)
             self.expect("]")
         prime = 0
         while self.peek()[0] == "'":
@@ -513,11 +500,9 @@ def _family_head(head, shown, matrix=False):
     unchecked, when matrix is set.
     """
     family, _, num = head.partition(":")
-    family = family.strip().lower()
-    try:
-        n = int(num)
-    except ValueError:
-        raise ParseError(f"missing or malformed size in {shown!r}") from None
+    family, n = family.strip().lower(), read_int(num)
+    if n is None:
+        raise ParseError(f"missing or malformed size in {shown!r}")
     if matrix and family == "matrix":
         return MatrixSpec(n)
     if family not in ("taft", "en"):

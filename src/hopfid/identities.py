@@ -274,11 +274,9 @@ def x_symbol(i: int, h: AlgElement) -> FreeComodulePoly:
 def t_var(H: HopfPresentation, i: int, h) -> CommPoly:
     """The coinvariant coefficient t[i,h] for a basis word h."""
     if isinstance(h, AlgElement):
-        if len(h.terms) != 1:
-            raise ValueError("t_var needs a single basis word")
-        [(word, c)] = h.terms.items()
-        if c != 1:
-            raise ValueError("t_var needs a monic basis word")
+        if len(h.terms) != 1 or next(iter(h.terms.values())) != 1:
+            raise ValueError("t[i,h] needs a single basis word with coefficient 1")
+        [word] = h.terms
     else:
         word = tuple(h)
     r = H.basis_index(word)

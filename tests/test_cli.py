@@ -38,6 +38,15 @@ def test_normalform_hopf(capsys):
     assert out == "normal form in taft:3: (z)*x*y\n"
 
 
+@pytest.mark.parametrize("algebra, shown",
+                         [("TAFT: 03", "taft:3"), (" taft:2;c=0;a=01 ", "taft:2;a=1;c=0")])
+def test_normalform_echoes_the_algebra_it_computed_in(capsys, algebra, shown):
+    code, out, _ = run(capsys, "normalform", "--algebra", algebra, "x")
+    assert (code, out) == (0, f"normal form in {shown}: x\n")
+    code, doc = run_json(capsys, "normalform", "--algebra", algebra, "x")
+    assert (code, doc["input"]["algebra"], doc["result"]["algebra"]) == (0, algebra, shown)
+
+
 def test_normalform_object(capsys):
     code, out, _ = run(
         capsys, "normalform", "--algebra", "taft:2;a=1;c=0", "y*y"
@@ -169,12 +178,17 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("m", ["x", "", "2.5"])
+@pytest.mark.parametrize("m", ["x", "", "2.5", "٤", "1_0", "+3"])
 def test_verify_standard_needs_an_integer(capsys, m):
     code, out, err = run(capsys, "verify", "--object", "matrix:2", f"standard:{m}")
     assert code == 2
     assert out == ""
     assert err == f"error: standard:<m> needs an integer m; found {m!r}\n"
+
+
+def test_verify_standard_of_a_negative_m(capsys):
+    code, out, err = run(capsys, "verify", "--object", "matrix:2", "standard:-1")
+    assert (code, out, err) == (2, "", "error: need m >= 1 and k >= 1\n")
 
 
 def test_distinguish_autoprimes_symbolic(capsys):

@@ -117,6 +117,10 @@ def test_free_mode_en_aliases():
         parse_expression("Y", H)
     with pytest.raises(ParseError, match="no generator y3"):
         parse_expression("Y3", H)
+    # the index is read by the integer reader: ASCII digits, leading zeros dropped
+    assert parse_expression("Y01", H) == parse_expression("Y1", H)
+    with pytest.raises(ParseError, match="unknown symbol 'Y١'"):
+        parse_expression("Y١", H)
 
 
 def test_free_mode_scalar_promotion():
@@ -143,10 +147,14 @@ def test_parameters_and_primes():
     assert parse_expression("d[1,1]", alg) == one * CommPoly.variable(
         2, ParamVar("d", (1, 1))
     )
+    # index digits are read as numbers, in ASCII only
+    assert parse_expression("c01", alg) == one * c1
     with pytest.raises(ParseError, match="1 <= i <= j"):
         parse_expression("d21", alg)
     with pytest.raises(ParseError, match="start at 1"):
         parse_expression("c[0]", alg)
+    with pytest.raises(ParseError, match="unknown generator 'c٧'"):
+        parse_expression("c٧*x", alg)
 
 
 def test_division_rules():
@@ -356,8 +364,16 @@ def test_nesting_limit():
 def test_parse_hopf_spec():
     assert parse_hopf_spec("taft:3") is taft(3)
     assert parse_hopf_spec(" en:2 ") is en(2)
+    assert parse_hopf_spec("TAFT: 03") is taft(3)
     with pytest.raises(ParseError, match="n >= 2"):
         parse_hopf_spec("taft:1")
+    with pytest.raises(ParseError, match="n >= 2"):
+        parse_hopf_spec("taft:-400")
+    # a size is an optional '-' and ASCII digits, nothing else int() would read
+    for text in ("taft:٣", "taft:1_0", "taft:+3"):
+        with pytest.raises(ParseError) as err:
+            parse_hopf_spec(text)
+        assert str(err.value) == f"missing or malformed size in {text!r}"
     with pytest.raises(ParseError, match="n >= 1"):
         parse_hopf_spec("en:0")
     with pytest.raises(ParseError, match="malformed size"):
@@ -433,6 +449,11 @@ def test_parse_object_spec_rejections():
         parse_object_spec("taft:2;c1=0")
     with pytest.raises(ParseError, match="unknown E"):
         parse_object_spec("en:2;b=1")
+    # a key's index digits are ASCII, and d with one index is no d key
+    with pytest.raises(ParseError, match=r"^unknown E\(n\) parameter 'c١'"):
+        parse_object_spec("en:2;c١=1")
+    with pytest.raises(ParseError, match=r"^unknown E\(n\) parameter 'd012'"):
+        parse_object_spec("en:2;d012=1")
     with pytest.raises(ParseError, match="key=value"):
         parse_object_spec("taft:2;a")
     with pytest.raises(ParseError, match="primes apply to sym"):
@@ -502,6 +523,8 @@ def test_parse_matrix_spec():
         parse_object_spec("matrix:2;a=1")
     with pytest.raises(ParseError, match=">= 1"):
         parse_object_spec("matrix:0")
+    with pytest.raises(ParseError, match="^missing or malformed size in 'matrix:２'$"):
+        parse_object_spec("matrix:２")
 
 
 def test_parse_context_type_check():
