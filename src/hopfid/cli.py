@@ -111,9 +111,21 @@ def _named_identity(args, A):
     """The polynomials whose mu images decide args.identity on A, before
     their parameters are bound to A's values.
 
-    A catalog name gives its template; coinv_P:<h> and coinv_Q:<h>,<h'> give
-    the core's commutators with X[2,z], one per basis word z of H; any other
-    text is parsed as one polynomial.
+    A catalog name gives its template; any other text that is not coinv_P:<h>
+    or coinv_Q:<h>,<h'> is parsed as one polynomial.
+
+    A coinv name gives the core's commutators with X[2,z], one per generator
+    z of H in generator order, and these decide the commutator for every
+    basis word z of H with the same first witness.  The core is in copy 1,
+    so M = mu(core) holds no t[2,.].  Since mu(X[2,x]) = t[2,x] x and
+    mu(X[2,yi]) = t[2,1] yi + t[2,yi] x (hopf.coaction_images), the x member
+    is t[2,x] [M,x] and the yi member is t[2,1] [M,yi] + t[2,yi] [M,x]: all
+    vanish exactly when M commutes with A's generators, that is, when M is
+    central.  Then every mu([core, X[2,z]]) = sum t[2,z1] [M, z2], z2 read
+    as a word of A, is 0.
+    The member at z = 1 is always 0, and deglex puts every length-1 word
+    before the longer ones, so the first nonzero image of the walk over
+    H's basis is always a generator member, the first one here.
     """
     name, H = args.identity.strip(), A.hopf
     for cat_name, template in catalog(H):
@@ -131,7 +143,7 @@ def _named_identity(args, A):
         raise _Usage(f"identity {name!r} is not in the catalog of {H.name}")
     else:
         return [parse_expression(name, H, args.max_degree)]
-    return [commutator_identity(core, H.algebra.element({z: 1})) for z in H.basis()]
+    return [commutator_identity(core, H.algebra.gen(g)) for g in H.algebra.generators]
 
 
 def _matrix_witness(m, assignment, value) -> str:
@@ -280,6 +292,13 @@ def _cmd_selfcheck(args, timings):
 # -- dispatch -------------------------------------------------------------------
 
 
+def _int_option(text):
+    """The value of --seed or --max-degree, read by comodule.read_int."""
+    if (value := read_int(text)) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def _add_common(parser, default):
     # the shared flags sit on the root parser and on every subcommand, so
     # both "hopfid --format json verify .." and "hopfid verify .. --format
@@ -290,11 +309,11 @@ def _add_common(parser, default):
         help="output format (default text)",
     )
     parser.add_argument(
-        "--seed", type=int, default=default,
+        "--seed", type=_int_option, default=default,
         help="accepted and unused: no check is randomized",
     )
     parser.add_argument(
-        "--max-degree", type=int, default=default,
+        "--max-degree", type=_int_option, default=default,
         help="refuse expression expansions past this degree",
     )
     parser.add_argument(

@@ -16,8 +16,9 @@ import pytest
 import hopfid
 from hopfid import cli, identities
 from hopfid.cli import main
+from hopfid.comodule import galois_object
 from hopfid.cyclotomic import power
-from hopfid.exprparse import MAX_SCALAR_BITS, MAX_SCALAR_TERMS, parse_expression
+from hopfid.exprparse import MAX_SCALAR_BITS, MAX_SCALAR_TERMS, parse_expression, parse_object_spec
 
 
 def run(capsys, *argv):
@@ -127,6 +128,57 @@ def test_verify_commutator_families(capsys):
     code, _, err = run(capsys, "verify", "--object", "taft:2;a=1;c=0", "coinv_Q:x")
     assert code == 2
     assert "coinv_Q takes two elements" in err
+
+
+def _numeric_and_symbolic_specs(family, n):
+    if family == "taft":
+        return [f"taft:{n};a=2;c=3", f"taft:{n};a=sym;c=sym"]
+    cs = [f"c{i}={i % 3}" for i in range(1, n + 1)]
+    ds = [f"d{i},{j}={(i + j) % 3}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return [";".join([f"en:{n}", "a=2", *cs, *ds]), f"en:{n}"]
+
+
+@pytest.mark.parametrize("spec", [
+    spec
+    for family, sizes in (("taft", range(2, 7)), ("en", range(1, 4)))
+    for n in sizes
+    for spec in _numeric_and_symbolic_specs(family, n)
+])
+def test_coinvariant_verdicts_match_the_walk_over_the_basis(capsys, monkeypatch, spec):
+    # the commutators with X[2,z] for z over all of H's basis are the oracle:
+    # the CLI forms them for H's generators only, and must print the walk's
+    # verdict and its first nonzero mu-image, for any core in copy 1
+    parsed = parse_object_spec(spec)
+    A = galois_object(parsed)
+    symbolic = parsed.symbolic_keys()
+    verified = f" (symbolic {', '.join(symbolic)})" if symbolic else ""
+    alg = A.hopf.algebra
+    words = [alg.element({w: 1}) for w in A.hopf.basis()]
+    X1 = [identities.x_symbol(1, w) for w in words]
+    x = identities.x_symbol(1, alg.gen("x"))
+    cores = [identities.coinvariant_P(w) for w in words[:4] + words[-1:]]
+    cores += [identities.coinvariant_Q(w, words[-1]) for w in words[:3]]
+    cores += X1 + [x * Xw for Xw in X1]
+    falsified = 0
+    for i, core in enumerate(cores):
+        images = (
+            identities.mu(identities.bind_to_object(identities.commutator_identity(core, z), A), A)
+            for z in words
+        )
+        witness = next((image for image in images if not image.is_zero()), None)
+        falsified += witness is not None
+        monkeypatch.setattr(cli, "coinvariant_P", lambda h: core)
+        monkeypatch.setattr(cli, "coinvariant_Q", lambda h, h2: core)
+        name = ("coinv_P:x", "coinv_Q:x,x")[i % 2]
+        code, out, err = run(capsys, "verify", "--object", spec, name)
+        assert err == ""
+        if witness is None:
+            assert (code, out) == (0, f"{name}: identity verified{verified}\n")
+        else:
+            assert (code, out) == (
+                1, f"{name}: not an identity for {A.name}\nwitness mu-image: {witness}\n"
+            )
+    assert 0 < falsified < len(cores)
 
 
 def test_verify_en_catalog(capsys):
@@ -309,6 +361,23 @@ def test_selfcheck_accepts_an_unused_seed(capsys):
     assert plain[0] == 0
     assert run(capsys, "selfcheck", "--hopf", "taft:3", "--seed", "7") == plain
     assert run(capsys, "--seed", "7", "selfcheck", "--hopf", "taft:3") == plain
+
+
+@pytest.mark.parametrize("option", ["--seed", "--max-degree"])
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_integer_options_read_ascii_digits(capsys, option, before):
+    # read like every other number in the input: ASCII digits 0-9 only
+    def argv(value):
+        command = ["normalform", "--algebra", "taft:3", "x*x"]
+        return [option, value, *command] if before else [*command, option, value]
+
+    for value in ("3", "007"):
+        assert run(capsys, *argv(value)) == (0, "normal form in taft:3: x^2\n", "")
+    for value in ("٣", "1_0", "+3"):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv(value))
+        assert exit_.value.code == 2
+        assert f"error: argument {option}: invalid int value: {value!r}" in capsys.readouterr().err
 
 
 def test_selfcheck_galois_refusal_is_a_fail_row(capsys, monkeypatch):
