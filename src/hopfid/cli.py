@@ -111,8 +111,8 @@ def _named_identity(args, A):
     """The polynomials whose mu images decide args.identity on A, before
     their parameters are bound to A's values.
 
-    A catalog name gives its template; any other text that is not coinv_P:<h>
-    or coinv_Q:<h>,<h'> is parsed as one polynomial.
+    A name of a catalog name's form gives its template or is refused; any
+    other text that is not coinv_P:<h> or coinv_Q:<h>,<h'> is one polynomial.
 
     A coinv name gives the core's commutators with X[2,z], one per generator
     z of H in generator order, and these decide the commutator for every
@@ -128,9 +128,6 @@ def _named_identity(args, A):
     H's basis is always a generator member, the first one here.
     """
     name, H = args.identity.strip(), A.hopf
-    for cat_name, template in catalog(H):
-        if name == cat_name:
-            return [template]
     if name.startswith("coinv_P:"):
         core = coinvariant_P(parse_expression(name[len("coinv_P:"):], H.algebra))
     elif name.startswith("coinv_Q:"):
@@ -139,7 +136,10 @@ def _named_identity(args, A):
             raise _Usage("coinv_Q takes two elements: coinv_Q:<h>,<h'>")
         left, right = body.split(",", 1)
         core = coinvariant_Q(*(parse_expression(e, H.algebra) for e in (left, right)))
-    elif name == "taft_pc" or name.split(":", 1)[0] in ("taft_pc", "en_ci", "en_dij"):
+    elif name.split(":", 1)[0] in ("taft_pc", "en_ci", "en_dij"):  # every catalog name's form
+        for cat_name, template in catalog(H):
+            if name == cat_name:
+                return [template]
         raise _Usage(f"identity {name!r} is not in the catalog of {H.name}")
     else:
         return [parse_expression(name, H, args.max_degree)]

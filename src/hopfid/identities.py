@@ -202,7 +202,8 @@ def _monomials(v) -> int:
 def _bounded_mul(x, y):
     if not isinstance(x, AlgElement):
         return x * y
-    m, k = _monomials(x), _monomials(y)
+    m = _monomials(x)
+    k = m if y is x else _monomials(y)  # every squaring in a power passes one object twice
     if m * k > MAX_MU_PAIRS:
         raise ValueError(f"mu image bound: a product of {m} by {k} monomials would "
                          f"form {m * k} monomial pairs, past {MAX_MU_PAIRS}")

@@ -170,7 +170,9 @@ class PresentedAlgebra:
         With rules, the word's letters act, last first, on the empty word
         (act(g, v) is the normal form of g·v for a normal word v; see _act,
         whose table holds at most #generators × dim entries), and the result
-        is cached per word.  A tensor product reduces factor by factor (see
+        is cached per word.  If word[1:] is cached, only word[0] acts, on
+        that normal form, so a walk over a basis in deglex order costs one
+        action per word.  A tensor product reduces factor by factor (see
         _reduce_parts) and keeps nothing of its own.  A free algebra's word
         is its own normal form."""
         word = tuple(word)
@@ -179,9 +181,12 @@ class PresentedAlgebra:
             return _raw(self, self._reduce_parts(word))
         if not self.rules:  # a free algebra: every word is normal
             return _raw(self, {word: one})
-        hit = self._nf_cache.get(word)
+        cache = self._nf_cache
+        hit = cache.get(word)
         if hit is None:
-            hit = self._nf_cache[word] = _raw(self, self._fold(word, {(): one}))
+            tail = cache.get(word[1:])
+            terms = self._fold(word, {(): one}) if tail is None else self._fold(word[:1], tail.terms)
+            hit = cache[word] = _raw(self, terms)
         return hit
 
     def mul_words(self, w1, w2):
@@ -294,16 +299,8 @@ class PresentedAlgebra:
             return "⊗".join(f.render_word(sub) for f, sub in zip(self.tensor_factors, word))
         if not word:
             return "1"
-        runs = []
-        for g in word:
-            if runs and runs[-1][0] == g:
-                runs[-1][1] += 1
-            else:
-                runs.append([g, 1])
-        return "*".join(
-            self.generators[g] if e == 1 else f"{self.generators[g]}^{e}"
-            for g, e in runs
-        )
+        runs = ((self.generators[g], len(list(run))) for g, run in itertools.groupby(word))
+        return "*".join(name if e == 1 else f"{name}^{e}" for name, e in runs)
 
     def __repr__(self):
         return f"PresentedAlgebra({self.name})"

@@ -130,6 +130,18 @@ def test_verify_commutator_families(capsys):
     assert "coinv_Q takes two elements" in err
 
 
+def test_only_catalog_names_build_the_catalog(capsys, monkeypatch):
+    def refuse(H):
+        raise AssertionError(f"catalog of {H.name} built")
+
+    monkeypatch.setattr(cli, "catalog", refuse)
+    for name in ("coinv_P:y", "coinv_Q:x,y", "X*E - E*X"):
+        code, out, _ = run(capsys, "verify", "--object", "taft:2;a=1;c=0", name)
+        assert code in (0, 1) and out.startswith(f"{name}: "), name
+    code, _, err = run(capsys, "verify", "--object", "taft:2;a=1;c=0", "taft_pc")
+    assert code == 2 and "catalog of taft:2 built" in err
+
+
 def _numeric_and_symbolic_specs(family, n):
     if family == "taft":
         return [f"taft:{n};a=2;c=3", f"taft:{n};a=sym;c=sym"]

@@ -20,7 +20,7 @@ from hopfid.commpoly import CommPoly
 from hopfid.cyclotomic import CyclotomicNumber
 from hopfid.exprparse import parse_object_spec
 from hopfid.hopf import (HopfPresentation, check_hopf_axioms, coaction_images, coproduct, en,
-                         family_hopf, relation_failures, taft)
+                         family_hopf, family_relations, relation_failures, taft)
 from hopfid.ncalg import (AlgElement, Morphism, PresentedAlgebra, RewriteRule, embed,
                           tensor_product)
 from test_galois_oracle import coinvariants_by_elimination, galois_map_by_elimination
@@ -140,6 +140,18 @@ def test_section_intertwines():
             h_right = H.algebra.element({right: 1})
             rhs = rhs + embed(u_left, A.tensor, 0) * embed(h_right, A.tensor, 1) * c
         assert lhs == rhs
+
+
+def test_a_section_image_that_is_not_normal_is_refused(monkeypatch):
+    # y^2 -> 0 added to A's rules makes the basis word y^2 of H reducible in A;
+    # its tail y is normal, so the walk reaches it from the cached tail
+    def with_y_squared(*args):
+        return family_relations(*args) + (RewriteRule((1, 1), []),)
+
+    monkeypatch.setattr(comodule, "family_relations", with_y_squared)
+    with pytest.raises(ValueError) as err:
+        ComoduleAlgebra(parse_object_spec("taft:3;a=1;c=0"))
+    assert str(err.value) == "section image (1, 1) is not normal in A(taft:3;a=1;c=0)"
 
 
 def test_check_comodule_passes_symbolically():

@@ -1,5 +1,6 @@
 """Tests for the noncommutative rewriting engine."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -152,6 +153,30 @@ def test_render_words():
     assert alg.render_word((0, 0, 1)) == "x^2*y"
     assert str(alg.gen("x") * alg.gen("y")) == "x*y"
     assert str(alg.zero()) == "0"
+
+
+def render_by_run_loop(alg, word):
+    """render_word's labels by a hand-written run list, kept as its oracle."""
+    if not word:
+        return "1"
+    runs = []
+    for g in word:
+        if runs and runs[-1][0] == g:
+            runs[-1][1] += 1
+        else:
+            runs.append([g, 1])
+    return "*".join(alg.generators[g] if e == 1 else f"{alg.generators[g]}^{e}" for g, e in runs)
+
+
+def test_render_word_matches_the_run_loop():
+    rng = random.Random(7)
+    for alg in (sweedler_like(), taft(4).algebra, en(3).algebra):
+        for _ in range(200):
+            word = tuple(rng.randrange(len(alg.generators)) for _ in range(rng.randint(0, 12)))
+            assert alg.render_word(word) == render_by_run_loop(alg, word), word
+    big = taft(316).algebra
+    word = (big.gen_index("y"),) * 315 + (big.gen_index("x"),) * 315
+    assert big.render_word(word) == render_by_run_loop(big, word) == "y^315*x^315"
 
 
 def test_scalar_coefficient_rendering():

@@ -8,15 +8,24 @@ table of act(g, v) = nf(g·v) for normal words v.  On a confluent system
 both are the normal form, so they must agree on every word; on a system
 that is not confluent the two reduction orders may differ, and
 check_confluence must still say so.
+
+A cache miss folds only word[0] onto the cached normal form of word[1:]
+when there is one.  fold_from_empty, which folds every word from the empty
+word, is kept as the oracle for that start: the two must give the same
+normal forms, and the section walk over H's basis must leave the same act
+table and normal-form cache behind.
 """
+
+import random
 
 import pytest
 
 from hopfid.commpoly import CommPoly
-from hopfid.comodule import en_object_spec, galois_object, taft_object_spec
+from hopfid.comodule import ComoduleAlgebra, en_object_spec, galois_object, taft_object_spec
+from hopfid.exprparse import parse_object_spec
 from hopfid.hopf import en, taft
 from hopfid.identities import bind_to_object, catalog, mu
-from hopfid.ncalg import PresentedAlgebra, RewriteRule, check_confluence
+from hopfid.ncalg import PresentedAlgebra, RewriteRule, _raw, check_confluence
 from test_ncalg import sweedler_like
 
 
@@ -160,3 +169,64 @@ def test_act_table_bound_after_the_en_catalog(n):
     for name, template in catalog(A.hopf):
         assert mu(bind_to_object(template, A), A).is_zero(), name
     _check_tables(A)
+
+
+def fold_from_empty(self, word):
+    """PresentedAlgebra.normal_form_word without the tail start: a cache miss
+    lets every letter of word act, last first, on the empty word."""
+    word = tuple(word)
+    if self.tensor_factors is not None:
+        return _raw(self, self._reduce_parts(word))
+    if not self.rules:
+        return _raw(self, {word: self._one_poly})
+    hit = self._nf_cache.get(word)
+    if hit is None:
+        hit = self._nf_cache[word] = _raw(self, self._fold(word, {(): self._one_poly}))
+    return hit
+
+
+def _caches(alg):
+    return alg._acts, {w: e.terms for w, e in alg._nf_cache.items()}
+
+
+def _numeric_en_text(n):
+    c = [f"c{i}={i % 3 - 1}" for i in range(1, n + 1)]
+    d = [f"d{i},{j}={(i + j) % 3 - 1}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return ";".join([f"en:{n};a=1"] + c + d)
+
+
+# symbolic, numeric and primed objects, and the objects of the galois_linear benchmark
+SECTION_SPECS = (
+    [s for n in range(2, 10) for s in (f"taft:{n};a=sym;c=sym", f"taft:{n};a=2;c=-1", f"taft:{n};a=sym;c=sym'")]
+    + [s for n in range(1, 7) for s in (f"en:{n}", _numeric_en_text(n), f"en:{n};a=sym;c1=sym'")]
+    + [f"taft:{n};a=1;c={c}" for n in (2, 3, 4) for c in (0, 1)]
+    + ["en:1;a=1;c1=1", "en:2;a=1;c1=1;c2=-1;d1,2=1", "en:3;a=1;c1=1;c2=-1;c3=1;d1,2=1;d1,3=-1;d2,3=1"]
+)
+
+
+@pytest.mark.parametrize("text", SECTION_SPECS)
+def test_the_section_walk_leaves_the_caches_of_the_fold_from_empty(text, monkeypatch):
+    # galois_object(spec) is ComoduleAlgebra(spec), built once per spec: both are built fresh here
+    spec = parse_object_spec(text)
+    A = ComoduleAlgebra(spec)
+    assert A.hopf.basis() and all(w in A.algebra._nf_cache for w in A.hopf.basis())
+    monkeypatch.setattr(PresentedAlgebra, "normal_form_word", fold_from_empty)
+    assert _caches(A.algebra) == _caches(ComoduleAlgebra(spec).algebra)
+
+
+@pytest.mark.parametrize("label, algebra", [c for c in CASES if c[0].endswith("symbolic")],
+                         ids=[c[0] for c in CASES if c[0].endswith("symbolic")])
+def test_seeded_words_match_the_fold_from_empty_with_and_without_a_cached_tail(label, algebra):
+    alg = algebra()
+    fresh = PresentedAlgebra(alg.name, alg.generators, alg.order, alg.rules)
+    oracle = PresentedAlgebra(alg.name, alg.generators, alg.order, alg.rules)
+    rng = random.Random(label)
+    longest = max(map(len, alg.basis()))
+    tail_cached = set()
+    for _ in range(200):
+        word = tuple(rng.randrange(len(alg.generators)) for _ in range(rng.randint(1, 2 * longest + 2)))
+        if rng.random() < 0.5:
+            fresh.normal_form_word(word[1:])
+        tail_cached.add(word[1:] in fresh._nf_cache)
+        assert fresh.normal_form_word(word).terms == fold_from_empty(oracle, word).terms, word
+    assert tail_cached == {True, False}
