@@ -71,9 +71,16 @@ _OPS = set("+-*/^()[],';")
 # interpreter stack of a parenthesis
 MAX_NESTING = 100
 
-# copy indices i of X[i,h] and t[i,h]; each copy adds dim H generators to the
-# free algebra that mu walks
+# copy indices i of X[i,h] and t[i,h]: T(X_H) holds every copy at no cost, but
+# every input dimension has an exit-2 bound, and the copy index is one
 MAX_COPIES = 100
+
+# the refusals of the inverse that / and a negative ^ take: not a scalar, not constant, zero
+_INVERSE_REFUSALS = {
+    "/": ("division is defined for scalars only", "division needs a constant scalar", "division by zero"),
+    "^": ("negative powers are defined for scalars only", "negative powers need a constant scalar",
+          "negative power of zero"),
+}
 
 # the degree bound of products and powers in a free context when the caller
 # sets none: free words never reduce, so X^99999999 would be built in full
@@ -234,13 +241,15 @@ class _Parser:
         return left
 
     def _inverse(self, val, op):
+        """The inverse of val, a nonzero constant scalar, for the / or ^ at op."""
+        not_scalar, not_constant, zero = _INVERSE_REFUSALS[op[0]]
         if not isinstance(val, CommPoly):
-            self.fail("division is defined for scalars only", op)
+            self.fail(not_scalar, op)
         if not val.is_constant():
-            self.fail("division needs a constant scalar", op)
+            self.fail(not_constant, op)
         value = val.constant_value()
         if value.is_zero():
-            self.fail("division by zero", op)
+            self.fail(zero, op)
         return CommPoly.constant(value.inverse())
 
     def unary(self):
@@ -258,22 +267,16 @@ class _Parser:
         while self.peek()[0] == "^":
             op = self.next()
             k = self.exponent()
-            scalar = isinstance(base, CommPoly)
             if k < 0:
-                if not scalar:
-                    self.fail("negative powers are defined for scalars only", op)
-                if not base.is_constant():
-                    self.fail("negative powers need a constant scalar", op)
-                if base.is_zero():
-                    self.fail("negative power of zero", op)
-                base, k = CommPoly.constant(base.constant_value().inverse()), -k
+                base, k = self._inverse(base, op), -k
+            scalar = isinstance(base, CommPoly)
             if not scalar:
                 self._guard((base,), k, op)
             free = isinstance(base, FreeComodulePoly)
             if free and base.degree_bound == 0:
                 # a constant: raise its value, so the scalar bounds apply
                 value = self._bounded_power(base.element.coefficient(()), k, op)
-                base = FreeComodulePoly.scalar(base.hopf, value, base.copies)
+                base = FreeComodulePoly.scalar(base.hopf, value)
             else:
                 base = base**k if free else self._bounded_power(base, k, op)
         return base

@@ -15,6 +15,7 @@ yi -> 1⊗yi + yi⊗x, the coproduct on generators and every object's coaction.
 
 from __future__ import annotations
 
+import bisect
 from functools import lru_cache
 
 from .commpoly import CommPoly
@@ -66,21 +67,18 @@ class HopfPresentation:
         eps = tuple(ground.one() * c for c in self.counit_on_generators)
         self.counit_map = Morphism(algebra, ground, eps.__getitem__)
         self.antipode_map = Morphism(algebra, algebra, s.__getitem__, anti=True)
-        self._basis_index = None
         algebra.hopf = self
 
     def basis(self):
         return self.algebra.basis()
 
     def basis_index(self, word):
-        if self._basis_index is None:
-            self._basis_index = {w: r for r, w in enumerate(self.basis())}
-        try:
-            return self._basis_index[tuple(word)]
-        except KeyError:
-            raise ValueError(
-                f"{self.algebra.render_word(word)} is not a basis word of {self.name}"
-            ) from None
+        """The position of word in basis(), found by bisection in the term order."""
+        word, basis, key = tuple(word), self.basis(), self.algebra.word_key
+        r = bisect.bisect_left(basis, key(word), key=key)
+        if r < len(basis) and basis[r] == word:
+            return r
+        raise ValueError(f"{self.algebra.render_word(word)} is not a basis word of {self.name}")
 
     def coproduct_word(self, word) -> AlgElement:
         return self.coproduct_map.word(word)

@@ -45,28 +45,37 @@ __all__ = [
     "Isomorphic",
 ]
 
-@lru_cache(maxsize=None)
-def free_algebra(H: HopfPresentation, copies: int) -> PresentedAlgebra:
-    """The free algebra on X[i,h], i = 1..copies, h over the basis of H.
+class _FreeAlgebra(PresentedAlgebra):
+    """T(X_H): the free algebra on X[i,h] for every copy i >= 1 and basis word h.
 
-    Generators are ordered by (copy, basis position), so the generator ids of
-    free_algebra(H, c) are a stable prefix of free_algebra(H, c') for c < c'.
+    X[i,h] is the letter (i - 1)·dim H + rank(h) (see _gen_id), so words
+    order by copy, then by basis position.  No generator list is kept: a
+    letter is named when it is first printed, and its name is kept.
     """
-    if copies < 1:
-        raise ValueError("need at least one copy index")
-    labels = [H.algebra.render_word(w) for w in H.basis()]
-    names = [f"X[{i},{lab}]" for i in range(1, copies + 1) for lab in labels]
-    T = PresentedAlgebra(f"T(X_{H.name};{copies})", names, H.algebra.order, ())
-    T.free_hopf, T.free_copies = H, copies
-    return T
+
+    def __init__(self, H: HopfPresentation):
+        super().__init__(f"T(X_{H.name})", (), H.algebra.order)
+        self.free_hopf, self._names = H, {}
+
+    def generator_name(self, g) -> str:
+        try:
+            return self._names[g]
+        except KeyError:
+            (i, r), H = _gen_meta(self, g), self.free_hopf
+            self._names[g] = f"X[{i},{H.algebra.render_word(H.basis()[r])}]"
+            return self._names[g]
+
+    def basis(self):
+        raise ValueError(f"{self.name} is free on infinitely many letters; it has no finite basis")
+
+
+@lru_cache(maxsize=None)
+def free_algebra(H: HopfPresentation) -> PresentedAlgebra:
+    """The one free algebra T(X_H) of H, on X[i,h] for every copy i."""
+    return _FreeAlgebra(H)
 
 
 _SCALARS = (int, Fraction, CyclotomicNumber, CommPoly)
-
-
-def _lift(elem: AlgElement, T: PresentedAlgebra) -> AlgElement:
-    """An element of a smaller free algebra T(X_H) read in T; gids are a prefix."""
-    return elem if elem.algebra is T else AlgElement(T, elem.terms)
 
 
 class FreeComodulePoly:
@@ -82,21 +91,20 @@ class FreeComodulePoly:
     mu's pair bound.
     """
 
-    __slots__ = ("hopf", "copies", "op", "args", "degree_bound", "_element")
+    __slots__ = ("hopf", "op", "args", "degree_bound", "_element")
 
-    def __init__(self, hopf, copies, element):
-        self.hopf, self.copies, self.op, self.args = hopf, copies, "leaf", (element, None)
+    def __init__(self, hopf, element):
+        self.hopf, self.op, self.args = hopf, "leaf", (element, None)
         self.degree_bound, self._element = element.degree(), element
 
     @classmethod
     def _node(cls, op, first, second):
         node = cls.__new__(cls)
         node.hopf, node.op, node.args, node._element = first.hopf, op, (first, second), None
-        node.copies, node.degree_bound = first.copies, first.degree_bound
+        node.degree_bound = first.degree_bound
         if isinstance(second, cls):
             if second.hopf is not first.hopf:
                 raise ValueError("free polynomials over different Hopf algebras")
-            node.copies = max(first.copies, second.copies)
             both = (first.degree_bound, second.degree_bound)
             node.degree_bound = max(both) if op == "sum" else sum(both)
         elif op == "pow":
@@ -104,13 +112,13 @@ class FreeComodulePoly:
         return node
 
     @classmethod
-    def zero(cls, H, copies=1):
-        return cls(H, copies, free_algebra(H, copies).zero())
+    def zero(cls, H):
+        return cls(H, free_algebra(H).zero())
 
     @classmethod
-    def scalar(cls, H, value, copies=1):
-        T = free_algebra(H, copies)
-        return cls(H, copies, T.one() * cls._check_coeff(T.coerce_poly(value)))
+    def scalar(cls, H, value):
+        T = free_algebra(H)
+        return cls(H, T.one() * cls._check_coeff(T.coerce_poly(value)))
 
     @staticmethod
     def _check_coeff(poly: CommPoly):
@@ -125,15 +133,14 @@ class FreeComodulePoly:
 
     @property
     def element(self) -> AlgElement:
-        """The expanded element of free_algebra(hopf, copies), computed once."""
+        """The expanded element of free_algebra(hopf), computed once."""
         if self._element is None:
-            T = free_algebra(self.hopf, self.copies)
-            self._element = _evaluate(self, lambda e: _lift(e, T))
+            self._element = _evaluate(self, lambda e: e)
         return self._element
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            other = FreeComodulePoly.scalar(self.hopf, other, self.copies)
+            other = FreeComodulePoly.scalar(self.hopf, other)
         if isinstance(other, FreeComodulePoly):
             return FreeComodulePoly._node("sum", self, other)
         return NotImplemented
@@ -172,7 +179,6 @@ class FreeComodulePoly:
             return NotImplemented
         if other.hopf is not self.hopf:
             raise ValueError("free polynomials over different Hopf algebras")
-        # generator ids of a smaller free algebra are a prefix of a larger one's
         return self.element.terms == other.element.terms
 
     def is_zero(self) -> bool:
@@ -264,12 +270,12 @@ def x_symbol(i: int, h: AlgElement) -> FreeComodulePoly:
         raise ValueError("x_symbol needs an element of a Hopf algebra")
     if i < 1:
         raise ValueError(f"copy indices start at 1, not {i}")
-    T = free_algebra(H, i)
+    T = free_algebra(H)
     terms = {}
     for w, c in h.terms.items():
         key = (_gen_id(T, i, H.basis_index(w)),)
         terms[key] = terms.get(key, CommPoly.zero(T.order)) + FreeComodulePoly._check_coeff(c)
-    return FreeComodulePoly(H, i, AlgElement(T, terms))
+    return FreeComodulePoly(H, AlgElement(T, terms))
 
 
 def t_var(H: HopfPresentation, i: int, h) -> CommPoly:
@@ -296,8 +302,8 @@ def _mu_image(T: PresentedAlgebra, A: ComoduleAlgebra, gid: int) -> AlgElement:
 
 
 @lru_cache(maxsize=None)
-def _mu_map(A: ComoduleAlgebra, copies: int) -> Morphism:
-    T = free_algebra(A.hopf, copies)
+def _mu_map(A: ComoduleAlgebra) -> Morphism:
+    T = free_algebra(A.hopf)
     return Morphism(T, A.algebra, lambda gid: _mu_image(T, A, gid))
 
 
@@ -312,8 +318,7 @@ def mu(P: FreeComodulePoly, A: ComoduleAlgebra) -> AlgElement:
     """
     if A.hopf is not P.hopf:
         raise ValueError("object and polynomial live over different Hopf algebras")
-    f = _mu_map(A, P.copies)
-    return _evaluate(P, lambda e: f(_lift(e, f.source)))
+    return _evaluate(P, _mu_map(A))
 
 
 def is_identity(P: FreeComodulePoly, A: ComoduleAlgebra) -> bool:
@@ -398,7 +403,7 @@ def bind_to_object(P: FreeComodulePoly, A: ComoduleAlgebra) -> FreeComodulePoly:
 
     def leaf(e):
         terms = {w: c.specialize(assignment) for w, c in e.terms.items()}
-        return FreeComodulePoly(P.hopf, e.algebra.free_copies, AlgElement(e.algebra, terms))
+        return FreeComodulePoly(P.hopf, AlgElement(e.algebra, terms))
 
     return _evaluate(P, leaf, lambda c: c.specialize(assignment))
 
@@ -447,11 +452,10 @@ def standard_polynomial(m: int) -> FreeComodulePoly:
     if m < 1:
         raise ValueError("the standard polynomial needs m >= 1")
     H = trivial_hopf()
-    T = free_algebra(H, m)
     terms = {}
     for perm in itertools.permutations(range(m)):
         terms[tuple(perm)] = CommPoly.scalar(1, _perm_sign(perm))
-    return FreeComodulePoly(H, m, AlgElement(T, terms))
+    return FreeComodulePoly(H, AlgElement(free_algebra(H), terms))
 
 
 # the most operations, (k^2)^m m!, that a matrix check may cost
@@ -509,24 +513,14 @@ def substitute(P: FreeComodulePoly, image_fn) -> FreeComodulePoly:
     image_fn(copy, basis_word) must return a FreeComodulePoly over the same
     Hopf algebra.
     """
-    H = P.hopf
-    T = free_algebra(H, P.copies)
-    basis = H.basis()
+    H, T = P.hopf, free_algebra(P.hopf)
     images = {}
     for gid in sorted({gid for w in P.element.terms for gid in w}):
         i, r = _gen_meta(T, gid)
-        images[gid] = image_fn(i, basis[r])
-    # the result lives in the free algebra on the most copies any image uses;
-    # a generator that only the tree's leaves name cancels from P, so it may
-    # map to zero
-    copies = max([P.copies] + [g.copies for g in images.values()])
-    target = free_algebra(H, copies)
-
-    def image(gid):
-        return _lift(images[gid].element, target) if gid in images else target.zero()
-
-    f = Morphism(T, target, image)
-    return _evaluate(P, lambda e: FreeComodulePoly(H, copies, f(_lift(e, T))))
+        images[gid] = image_fn(i, H.basis()[r])
+    # a letter that only the tree's leaves name cancels from P: it maps to zero
+    f = Morphism(T, T, lambda gid: images[gid].element if gid in images else T.zero())
+    return _evaluate(P, lambda e: FreeComodulePoly(H, f(e)))
 
 
 # -- parameter comparison of two objects ---------------------------------------

@@ -299,8 +299,13 @@ class PresentedAlgebra:
             return "⊗".join(f.render_word(sub) for f, sub in zip(self.tensor_factors, word))
         if not word:
             return "1"
-        runs = ((self.generators[g], len(list(run))) for g, run in itertools.groupby(word))
-        return "*".join(name if e == 1 else f"{name}^{e}" for name, e in runs)
+        name = self.generator_name
+        return "*".join(name(g) if (e := len(list(run))) == 1 else f"{name(g)}^{e}"
+                        for g, run in itertools.groupby(word))
+
+    def generator_name(self, g) -> str:
+        """The printed name of generator g, the hook that render_word names letters by."""
+        return self.generators[g]
 
     def __repr__(self):
         return f"PresentedAlgebra({self.name})"
@@ -513,12 +518,12 @@ class Morphism:
     """An algebra map, or antihomomorphism if anti, fixed on generators.
 
     image is a function of the generator index (pass tuple(seq).__getitem__
-    for images listed in order); each generator image is computed at most
-    once.  word(w) multiplies generator images left to right (right to
-    left when anti) and keeps the result for w alone; it starts from the
-    image of w less its last letter (first when anti) if that word was
-    asked for before, as happens when callers walk a basis in order, and
-    from its first generator image otherwise, so it forms no product by one.
+    for images listed in order); a generator's image is computed once, as
+    the image of its one-letter word.  word(w) multiplies generator images
+    left to right (right to left when anti) and keeps the result for w
+    alone; it starts from the image of w less its last letter (first when
+    anti) if that word was asked for before, as in a walk over a basis in
+    order, and from its first generator image otherwise: no product by one.
     Applied to an element, the map sums word(w) * c over its terms, so it
     caches the image of each word it meets: from H or A those words are
     normal, at most dim of them, and from T(X_H), the source of mu and of
@@ -530,13 +535,12 @@ class Morphism:
         self.target = target
         self.anti = anti
         self._image = image
-        self._gens = {}
         self._words = {(): target.one()}
 
     def generator(self, g) -> AlgElement:
-        hit = self._gens.get(g)
+        hit = self._words.get((g,))
         if hit is None:
-            hit = self._gens[g] = self._image(g)
+            hit = self._words[(g,)] = self._image(g)
         return hit
 
     def word(self, word) -> AlgElement:

@@ -8,7 +8,7 @@ the coinvariant cores are coinvariant, and that mu intertwines it.
 from functools import lru_cache
 
 from hopfid.commpoly import CommPoly
-from hopfid.identities import FreeComodulePoly, _evaluate, _gen_id, _gen_meta, _lift, free_algebra
+from hopfid.identities import FreeComodulePoly, _evaluate, _gen_id, _gen_meta, free_algebra
 from hopfid.ncalg import AlgElement, Morphism, PresentedAlgebra, embed, tensor_product
 
 
@@ -31,8 +31,7 @@ def _t_coaction_map(T: PresentedAlgebra) -> Morphism:
 
 def t_coaction(P: FreeComodulePoly) -> AlgElement:
     """The coaction of T(X_H), valued in T tensor H."""
-    delta = _t_coaction_map(free_algebra(P.hopf, P.copies))
-    return _evaluate(P, lambda e: delta(_lift(e, delta.source)))
+    return _evaluate(P, _t_coaction_map(free_algebra(P.hopf)))
 
 
 def is_coinvariant(P: FreeComodulePoly) -> bool:

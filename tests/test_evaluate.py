@@ -40,8 +40,7 @@ def obj(text):
 
 def expanded_mu(P, A):
     """mu of the expanded polynomial through the generator map."""
-    f = _mu_map(A, P.copies)
-    return f(AlgElement(f.source, P.element.terms))
+    return _mu_map(A)(P.element)
 
 
 def assert_mu_matches(P, A):
@@ -120,13 +119,13 @@ def test_coinvariant_commutators_match_expanded(spec, kind, names):
 
 def random_tree(rng, H, depth=3):
     """A random polynomial built with every operator, with its expansion in
-    T(X_H; 2) computed by AlgElement arithmetic alongside."""
-    T = free_algebra(H, 2)
+    T(X_H) computed by AlgElement arithmetic alongside."""
+    T = free_algebra(H)
     if depth == 0 or rng.random() < 0.2:
         copy = rng.randrange(1, 3)
         word = rng.choice(H.basis())
         P = x_symbol(copy, H.algebra.element({word: 1}))
-        return P, AlgElement(T, P.element.terms)
+        return P, P.element
     P, e = random_tree(rng, H, depth - 1)
     roll = rng.randrange(6)
     if roll == 0:
@@ -211,7 +210,7 @@ def test_bind_to_object_specialises_primed_and_numeric_keys(A):
     rng = random.Random(f"bind primed {A.spec.render()}")
     for P in [P for _, P in catalog(A.hopf)] + [random_tree(rng, A.hopf)[0] for _ in range(5)]:
         bound = bind_to_object(P, A)
-        expanded = FreeComodulePoly(P.hopf, P.copies, AlgElement(P.element.algebra, ref_bind(P, A)))
+        expanded = FreeComodulePoly(P.hopf, AlgElement(P.element.algebra, ref_bind(P, A)))
         assert bound.element.terms == expanded.element.terms
         assert mu(bound, A) == mu(expanded, A)
         assert bound is not P
@@ -222,9 +221,9 @@ def expanded_substitute(P, image_fn):
     H = P.hopf
     basis = H.basis()
     dim = len(basis)
-    out = FreeComodulePoly.zero(H, P.copies)
+    out = FreeComodulePoly.zero(H)
     for w, c in P.element.terms.items():
-        img = FreeComodulePoly.scalar(H, 1, P.copies)
+        img = FreeComodulePoly.scalar(H, 1)
         for gid in w:
             img = img * image_fn(gid // dim + 1, basis[gid % dim])
         out = out + img * c

@@ -28,6 +28,22 @@ def test_taft_dimensions_and_cache():
         taft(1)
 
 
+@pytest.mark.parametrize("H", [taft(n) for n in range(2, 10)] + [en(n) for n in range(1, 7)],
+                         ids=lambda H: H.name)
+def test_basis_index_is_the_position_in_the_basis(H):
+    basis = H.basis()
+    assert [H.basis_index(w) for w in basis] == list(range(len(basis)))
+    assert H.basis_index(list(basis[-1])) == len(basis) - 1
+
+
+def test_basis_index_refuses_a_word_outside_the_basis():
+    for H, word, text in ((taft(2), (0, 0), "x^2"), (taft(3), (1, 0), "y*x"),
+                          (en(2), (2, 1), "y2*y1"), (taft(2), (0, 1, 1), "x*y^2")):
+        with pytest.raises(ValueError) as err:
+            H.basis_index(word)
+        assert str(err.value) == f"{text} is not a basis word of {H.name}"
+
+
 def test_taft_relations():
     H = taft(3)
     x, y = H.algebra.gen("x"), H.algebra.gen("y")

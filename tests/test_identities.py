@@ -11,8 +11,9 @@ from hopfid.commpoly import CommPoly, ParamVar, TVar
 from hopfid.comodule import Symbolic, en_object_spec, galois_object, object_spec, taft_object_spec
 from hopfid.cyclotomic import CyclotomicNumber
 from hopfid.hopf import en, taft, trivial_hopf
-from hopfid.exprparse import parse_expression
+from hopfid.exprparse import parse_expression, parse_object_spec
 from hopfid.identities import (
+    _gen_id,
     _perm_sign,
     MAX_MU_PAIRS,
     Distinguished,
@@ -38,23 +39,65 @@ from hopfid.identities import (
 )
 from hopfid.ncalg import AlgElement, embed, tensor_product
 from free_coaction import is_coinvariant, t_coaction
+from propsuites import copy_indices
 
 
 def tvar(H, i, word, label):
     return CommPoly.variable(H.algebra.order, TVar(i, H.basis_index(word), label))
 
 
-def test_free_algebra_generators_are_prefix_stable():
-    H = taft(2)
-    T1 = free_algebra(H, 1)
-    T2 = free_algebra(H, 2)
-    assert T2.generators[: len(T1.generators)] == T1.generators
-    assert len(T1.generators) == 4
-    assert T1.generators[0] == "X[1,1]"
-    assert T1.generators[1] == "X[1,x]"
-    assert free_algebra(H, 1) is T1
-    with pytest.raises(ValueError):
-        free_algebra(H, 0)
+def test_copies_share_one_free_algebra():
+    # X[i,h] is the letter (i - 1) dim H + rank(h) of the one T(X_H)
+    for H in (taft(2), taft(3), en(2)):
+        T, dim = free_algebra(H), len(H.basis())
+        assert free_algebra(H) is T
+        for r, w in enumerate(H.basis()):
+            h = H.algebra.element({w: 1})
+            first, second = x_symbol(1, h).element, x_symbol(2, h).element
+            assert first.algebra is second.algebra is T
+            assert list(first.terms) == [(r,)] and list(second.terms) == [(dim + r,)]
+
+
+def test_free_algebra_has_no_basis():
+    with pytest.raises(ValueError, match=r"^T\(X_taft:2\) is free on infinitely many letters"):
+        free_algebra(taft(2)).basis()
+
+
+@pytest.mark.parametrize("H", [taft(n) for n in range(2, 7)] + [en(n) for n in range(1, 5)],
+                         ids=lambda H: H.name)
+def test_free_letters_are_named_as_the_eager_labels(H):
+    # the names T(X_H) gave its letters up front, kept as the oracle
+    eager = [f"X[{i},{H.algebra.render_word(w)}]" for i in (1, 2, 3) for w in H.basis()]
+    T = free_algebra(H)
+    assert [T.render_word((g,)) for g in range(len(eager))] == eager
+    assert T.render_word((0, 0, 1)) == f"{eager[0]}^2*{eager[1]}"
+
+
+def test_mu_renders_no_letter_name():
+    H = taft(9)
+    T = free_algebra(H)
+    T._names.clear()
+    A = galois_object(parse_object_spec("taft:9;a=sym;c=sym"))
+    P = bind_to_object(taft_identity(9), A)
+    assert mu(P, A).is_zero()
+    assert T._names == {}
+    text = str(P)
+    assert T._names and all(name in text for name in T._names.values())
+
+
+def test_one_mu_map_serves_every_copy(monkeypatch):
+    A = galois_object(taft_object_spec(2))
+    alg = A.hopf.algebra
+    identities._mu_map.cache_clear()
+    f = identities._mu_map(A)
+    calls = []
+    image = f._image
+    monkeypatch.setattr(f, "_image", lambda g: calls.append(g) or image(g))
+    X1, X2 = x_symbol(1, alg.gen("x")), x_symbol(2, alg.gen("x"))
+    assert mu(X1 * X1, A) == mu(X1, A) * mu(X1, A)
+    assert mu(X2 * X1, A) == mu(X2, A) * mu(X1, A)
+    assert identities._mu_map(A) is f
+    assert sorted(calls) == [1, 5]
 
 
 def test_x_symbol_linearity():
@@ -87,14 +130,14 @@ def test_x_symbol_takes_structure_parameters_only():
         x_symbol(1, H.algebra.one() * t)
 
 
-def test_free_poly_arithmetic_and_lifting():
+def test_free_poly_arithmetic_across_copies():
     H = taft(2)
     alg = H.algebra
     X1 = x_symbol(1, alg.gen("x"))
     X2 = x_symbol(2, alg.gen("x"))
-    # operands with different copy counts lift to the larger algebra
+    # operands of different copies are elements of one T(X_H)
     s = X1 + X2
-    assert s.copies == 2
+    assert copy_indices(s) == {1, 2}
     assert s - X2 == X1
     p = X1 * X2
     assert p.degree() == 2
@@ -123,8 +166,8 @@ def homogeneous_components(P):
     buckets: dict = {}
     for w, c in P.element.terms.items():
         buckets.setdefault(len(w), {})[w] = c
-    T = free_algebra(P.hopf, P.copies)
-    return {deg: FreeComodulePoly(P.hopf, P.copies, AlgElement(T, terms))
+    T = free_algebra(P.hopf)
+    return {deg: FreeComodulePoly(P.hopf, AlgElement(T, terms))
             for deg, terms in sorted(buckets.items())}
 
 
@@ -147,14 +190,12 @@ def test_homogeneous_components():
 def test_t_coaction_on_symbols():
     H = taft(2)
     alg = H.algebra
-    T = free_algebra(H, 1)
+    T = free_algebra(H)
     TH = tensor_product(T, H.algebra)
     E = x_symbol(1, alg.one())
     X = x_symbol(1, alg.gen("x"))
     Y = x_symbol(1, alg.gen("y"))
-    gx = T.gen_index("X[1,x]")
-    gy = T.gen_index("X[1,y]")
-    g1 = T.gen_index("X[1,1]")
+    gx, gy, g1 = (_gen_id(T, 1, H.basis_index(w)) for w in ((0,), (1,), ()))
     # delta(X) = X (x) x
     assert t_coaction(X) == TH.element({((gx,), (0,)): 1})
     # delta(E) = E (x) 1
@@ -379,7 +420,7 @@ def test_commutator_identities_for_taft2():
             assert is_identity(commutator_identity(core, zb), A)
     # commutators use the second copy index
     com = commutator_identity(coinvariant_P(alg.gen("y")), alg.gen("x"))
-    assert com.copies == 2
+    assert copy_indices(com) == {1, 2}
 
 
 def test_commutator_Q_identities_spot():
@@ -395,7 +436,7 @@ def test_commutator_Q_identities_spot():
 
 def test_standard_polynomial():
     S2 = standard_polynomial(2)
-    T = free_algebra(trivial_hopf(), 2)
+    T = free_algebra(trivial_hopf())
     assert S2.element == T.element({(0, 1): 1, (1, 0): -1})
     assert len(standard_polynomial(3).element.terms) == 6
     assert len(standard_polynomial(4).element.terms) == 24
@@ -551,14 +592,14 @@ def test_kernel_is_a_right_coideal():
     H = taft(2)
     A = galois_object(taft_object_spec(2))
     P = taft_identity(2)
-    T = free_algebra(H, P.copies)
+    T = free_algebra(H)
     TH = tensor_product(T, H.algebra)
     components = {}
     for (wt, wh), coeff in t_coaction(P).terms.items():
         acc = components.setdefault(wh, {})
         acc[wt] = acc.get(wt, CommPoly.zero(2)) + coeff
     for wh, terms in components.items():
-        part = FreeComodulePoly(H, P.copies, AlgElement(T, terms))
+        part = FreeComodulePoly(H, AlgElement(T, terms))
         assert is_identity(part, A)
 
 
@@ -569,13 +610,13 @@ def test_mu_is_a_comodule_map_on_generators():
     H = taft(2)
     alg = H.algebra
     A = galois_object(taft_object_spec(2))
-    T = free_algebra(H, 1)
+    T = free_algebra(H)
     TH = tensor_product(T, H.algebra)
     for w in H.basis():
         xs = x_symbol(1, alg.element({w: 1}))
         lhs = A.tensor.zero()
         for (wt, wh), coeff in t_coaction(xs).terms.items():
-            img = mu(FreeComodulePoly(H, 1, T.element({wt: 1})), A)
+            img = mu(FreeComodulePoly(H, T.element({wt: 1})), A)
             shifted = A.tensor.element({((), wh): 1})
             lhs = lhs + embed(img, A.tensor, 0) * shifted * coeff
         rhs = coaction(A, mu(xs, A))
